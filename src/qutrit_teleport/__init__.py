@@ -9,9 +9,9 @@ protocol.
 """
 
 from .exact import ExtScalar, rational
-from .linalg import Ket, LinearForm, Operator3
+from .linalg import Operator3
 from .basis import EntangledState, ExpansionRow, entangled_state, expand_product
-from .engine import derive_all, derive_gate, premeasure
+from .engine import derive_all, derive_gate
 from .published import compare_tables
 from .analysis import GateProfile, profile_gate, recovery
 from .simulate import BatchSummary, TrialRecord, run_batch, run_trial
@@ -19,8 +19,6 @@ from .simulate import BatchSummary, TrialRecord, run_batch, run_trial
 __all__ = [
     "ExtScalar",
     "rational",
-    "Ket",
-    "LinearForm",
     "Operator3",
     "EntangledState",
     "ExpansionRow",
@@ -28,7 +26,6 @@ __all__ = [
     "expand_product",
     "derive_all",
     "derive_gate",
-    "premeasure",
     "compare_tables",
     "GateProfile",
     "profile_gate",

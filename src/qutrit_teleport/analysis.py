@@ -158,13 +158,22 @@ def _rational_cbrt(f: Fraction) -> Optional[Fraction]:
 
 
 def _icbrt(n: int) -> Optional[int]:
+    """Exact integer cube root of n, or None when n is not a perfect cube.
+
+    Newton's method on integers, started above the root, so it is exact
+    for every size of n (a float cube root is not, above 2**53).
+    """
     if n < 0:
         return None
-    r = round(n ** (1.0 / 3.0)) if n else 0
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**3 == n:
-            return cand
-    return None
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            break
+        x = y
+    return x if x**3 == n else None
 
 
 def _field_cbrt(x: ExtScalar) -> Optional[ExtScalar]:

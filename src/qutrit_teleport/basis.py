@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import INV_SQRT2, INV_SQRT3, ExtScalar
-from .linalg import SITE_A2B, Ket, constant_ket, inner
+from .linalg import Operator3
 
 FAMILY_SINGLET = "singlet"
 FAMILY_BELL_LIKE = "bell_like"
@@ -39,9 +39,18 @@ _STATE_TERMS = (
 
 @dataclass(frozen=True)
 class EntangledState:
+    """|Psi_i> = sum_{a2,b} matrix[a2][b] |a2>|b>.
+
+    The flat 9-entry amplitude list (index 3*a2 + b) is only an output
+    format; every computation works on the 3x3 grid.
+    """
+
     index: int
-    ket: Ket
+    matrix: Operator3
     family: str
+
+    def flat(self) -> tuple:
+        return tuple(self.matrix.entry(f // 3, f % 3) for f in range(9))
 
 
 @dataclass(frozen=True)
@@ -62,35 +71,37 @@ def family_of(index: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def entangled_state(index: int, site: str = SITE_A2B) -> EntangledState:
-    """The i-th entangled basis state as an exact 9-dim constant ket."""
+def entangled_state(index: int) -> EntangledState:
+    """The i-th entangled basis state with its exact coefficient grid."""
     if not 0 <= index <= 8:
         raise ValueError(f"entangled state index {index} out of range 0..8")
     scale, terms = _STATE_TERMS[index]
-    amps = [ExtScalar()] * 9
-    for a2, b, weight in terms:
-        amps[3 * a2 + b] = scale * weight
-    return EntangledState(index, constant_ket(amps, site), family_of(index))
+    return EntangledState(index, Operator3.from_terms(scale, terms), family_of(index))
 
 
-def all_states(site: str = SITE_A2B) -> tuple:
-    return tuple(entangled_state(i, site) for i in range(9))
+def all_states() -> tuple:
+    return tuple(entangled_state(i) for i in range(9))
+
+
+def _frobenius(x: Operator3, y: Operator3) -> ExtScalar:
+    acc = ExtScalar()
+    for r in range(3):
+        for c in range(3):
+            acc = acc + x.entry(r, c) * y.entry(r, c)
+    return acc
 
 
 def gram_matrix() -> tuple:
-    """9x9 matrix of pairwise inner products <Psi_a|Psi_b>."""
-    states = all_states()
-    return tuple(
-        tuple(inner(states[a].ket, states[b].ket) for b in range(9)) for a in range(9)
-    )
+    """9x9 matrix of pairwise inner products <Psi_a|Psi_b> = tr(M_a^T M_b)."""
+    grids = [s.matrix for s in all_states()]
+    return tuple(tuple(_frobenius(x, y) for y in grids) for x in grids)
 
 
 def projector_sum() -> tuple:
     """sum_i |Psi_i><Psi_i| as an exact 9x9 matrix (completeness check)."""
-    states = all_states()
     out = [[ExtScalar() for _ in range(9)] for _ in range(9)]
-    for s in states:
-        amps = s.ket.amps
+    for s in all_states():
+        amps = s.flat()
         for r in range(9):
             if amps[r].is_zero():
                 continue
@@ -104,20 +115,17 @@ def expand_product(a2: int, b: int) -> ExpansionRow:
     """Entangled-basis expansion of |a2>|b>, by projection onto each state.
 
     Orthonormality (verified separately via `gram_matrix`) makes the
-    projection coefficients exact and unique.
+    projection coefficients exact and unique: <Psi_i|a2,b> = M_i[a2][b].
     """
     if not (0 <= a2 <= 2 and 0 <= b <= 2):
         raise ValueError("basis indices must lie in 0..2")
-    flat = 3 * a2 + b
-    coeffs = tuple(entangled_state(i).ket.amps[flat] for i in range(9))
+    coeffs = tuple(entangled_state(i).matrix.entry(a2, b) for i in range(9))
     return ExpansionRow(a2, b, coeffs)
 
 
-def reconstruct_product(row: ExpansionRow) -> Ket:
-    """sum_i coefficients[i] * |Psi_i>; should equal the product state."""
-    amps = [ExtScalar()] * 9
+def reconstruct_product(row: ExpansionRow) -> Operator3:
+    """sum_i coefficients[i] * M_i; equals the matrix unit E_{a2,b}."""
+    total = Operator3.zero()
     for i in range(9):
-        state = entangled_state(i)
-        for flat in range(9):
-            amps[flat] = amps[flat] + row.coefficients[i] * state.ket.amps[flat]
-    return constant_ket(amps, SITE_A2B)
+        total = total + entangled_state(i).matrix.scaled(row.coefficients[i])
+    return total

@@ -19,7 +19,7 @@ from . import analysis, engine, published, render, serialize, simulate
 from . import __version__
 from .basis import expand_product, gram_matrix, projector_sum, reconstruct_product
 from .exact import ExtScalar
-from .linalg import Operator3, basis_ket, tensor
+from .linalg import Operator3
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,7 +133,7 @@ def _cmd_basis(args) -> int:
                 {
                     "index": s.index,
                     "family": s.family,
-                    "amplitudes": [a.to_json_obj() for a in s.ket.amps],
+                    "amplitudes": [a.to_json_obj() for a in s.flat()],
                 }
                 for s in all_states()
             ],
@@ -166,7 +166,7 @@ def _cmd_derive(args) -> int:
             text = (
                 f"Channel {render.channel_name(args.channel, args.roman)}, "
                 f"outcome {args.outcome}\n"
-                f"premeasure = {render.symbolic_ket_text(engine.premeasure(args.channel, args.outcome))}\n"
+                f"premeasure = {render.premeasure_text(gate)}\n"
                 f"{render.gate_text(gate)}\n"
             )
             _emit(text, args.out)
@@ -187,12 +187,11 @@ def _verify_checks():
         return projector_sum() == identity9
 
     def inversion_roundtrip():
-        for a2 in range(3):
-            for b in range(3):
-                product = tensor(basis_ket(a2, site="A2"), basis_ket(b, site="B"))
-                if reconstruct_product(expand_product(a2, b)).amps != product.amps:
-                    return False
-        return True
+        return all(
+            reconstruct_product(expand_product(a2, b)) == Operator3.unit(a2, b)
+            for a2 in range(3)
+            for b in range(3)
+        )
 
     def gate_residuals():
         return all(
@@ -203,8 +202,10 @@ def _verify_checks():
 
     def channel_reconstruction():
         return all(
-            engine.reconstruct_composite(i).amps == engine.compose(i).amps
+            e.is_zero()
             for i in range(9)
+            for row in engine.reconstruction_residual(i)
+            for e in row
         )
 
     def measurement_completeness():
@@ -317,11 +318,14 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        gates = serialize.gate_table_loads(text)
-    except (ValueError, KeyError) as exc:
+        with open(args.path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {args.path}: {exc.strerror or exc}")
+    try:
+        gates = serialize.gate_table_loads(data.decode("utf-8"))
+    except (ValueError, KeyError, RecursionError) as exc:
         sys.stderr.write(f"malformed gate table: {exc}\n")
         return EXIT_VIOLATION
     mismatched = [

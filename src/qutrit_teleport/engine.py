@@ -1,100 +1,88 @@
-"""Derivation of all 81 teleportation measurement gates from first principles.
+"""Derivation of all 81 teleportation measurement gates.
 
-For each channel i the three-party composite state is the symbolic input
-tensored with the shared entangled state.  Projecting onto each sender-side
-entangled basis state yields the receiver's pre-measurement ket, and the
-gate is read off as the unique matrix mapping the symbolic input to that
-ket.  Everything is exact, so the defining residual
+Reshape each entangled state into its 3x3 coefficient grid M_i (row a2,
+column b, flat index 3*a2 + b).  Channel i tensors the input
+c0|0> + c1|1> + c2|2> at site A1 with Psi_i at sites A2,B; the flat index
+of the 27-dim composite is 9*a1 + 3*a2 + b, with amplitude
+c_{a1} * M_i[a2][b].  Projecting sites A1,A2 onto Psi_k leaves the
+receiver's pre-measurement state
 
-    premeasure(i, k) - gate(i, k) |phi>
+    sum_b sum_{a1,a2} M_k[a1][a2] c_{a1} M_i[a2][b] |b>,
 
-vanishes identically, and the decomposition can be resummed to reproduce
-the composite state entry by entry.
+which is linear in the input with matrix
+
+    G_ik = M_i^T M_k^T = (M_k M_i)^T.
+
+That product is the whole derivation.  The pre-measurement state of
+(i, k) *is* G_ik read as a coefficient grid: row b, column j holds the
+coefficient of c_j on |b>.
+
+The paper's identities are checked by an independent route that never
+calls the product: `delta_qt` redoes the 27-entry projection explicitly,
+and `reconstruction_residual` resums the decomposition entry by entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .basis import entangled_state
-from .linalg import (
-    SITE_A1A2,
-    SITE_A1A2B,
-    Ket,
-    Operator3,
-    extract_gate,
-    partial_inner,
-    symbolic_input,
-    tensor,
-    zero_ket,
-)
-
-
-@dataclass(frozen=True)
-class DecompositionRow:
-    outcome: int
-    premeasure: Ket
-    gate: Operator3
-
-
-@dataclass(frozen=True)
-class ChannelDecomposition:
-    channel: int
-    composite: Ket
-    rows: tuple
-
-
-def _check_channel(i: int) -> None:
-    if not 0 <= i <= 8:
-        raise ValueError(f"channel index {i} out of range 0..8")
-
-
-@lru_cache(maxsize=None)
-def compose(i: int) -> Ket:
-    """27-dim composite: symbolic input at A1 with entangled state at A2,B."""
-    _check_channel(i)
-    return tensor(symbolic_input(), entangled_state(i).ket)
-
-
-@lru_cache(maxsize=None)
-def premeasure(i: int, k: int) -> Ket:
-    """Receiver-side conditional ket for channel i and sender outcome k."""
-    _check_channel(i)
-    _check_channel(k)
-    bra = entangled_state(k, SITE_A1A2).ket
-    return partial_inner(bra, compose(i))
+from .exact import ZERO
+from .linalg import Operator3
 
 
 @lru_cache(maxsize=None)
 def derive_gate(i: int, k: int) -> Operator3:
     """The 3x3 measurement gate for (channel, outcome), tagged oracle."""
-    return extract_gate(premeasure(i, k)).tagged(channel=i, outcome=k)
-
-
-def decompose_channel(i: int) -> ChannelDecomposition:
-    rows = tuple(
-        DecompositionRow(k, premeasure(i, k), derive_gate(i, k)) for k in range(9)
-    )
-    return ChannelDecomposition(i, compose(i), rows)
+    m_i = entangled_state(i).matrix
+    m_k = entangled_state(k).matrix
+    return (m_k @ m_i).dagger().tagged(channel=i, outcome=k)
 
 
 def derive_all() -> tuple:
-    """All nine channel decompositions (81 gates), deterministically."""
-    return tuple(decompose_channel(i) for i in range(9))
+    """All 81 gates as a 9x9 tuple indexed [channel][outcome]."""
+    return tuple(tuple(derive_gate(i, k) for k in range(9)) for i in range(9))
 
 
-def delta_qt(i: int, k: int, gate: Operator3) -> Ket:
-    """Teleportation residual: premeasure(i, k) minus the gate acting on
-    the symbolic input.  Zero for every oracle gate; generally nonzero for
-    transcribed gates that disagree with the derivation."""
-    return premeasure(i, k) - gate.apply(symbolic_input())
+def delta_qt(i: int, k: int, gate: Operator3) -> Operator3:
+    """Teleportation residual <Psi_k|_{A1A2}(|phi> (x) |Psi_i>) - gate |phi>.
+
+    Column j is the residual for the input |j>: the projection is summed
+    over all 27 composite entries, flat index 9*a1 + 3*a2 + b.  Zero for
+    every oracle gate; generally nonzero for transcribed gates that
+    disagree with the derivation.
+    """
+    m_i = entangled_state(i).matrix
+    m_k = entangled_state(k).matrix
+    rows = [[ZERO, ZERO, ZERO] for _ in range(3)]
+    for j in range(3):
+        for flat in range(27):
+            a1, a2, b = flat // 9, (flat // 3) % 3, flat % 3
+            if a1 == j:
+                rows[b][j] = rows[b][j] + m_k.entry(a1, a2) * m_i.entry(a2, b)
+        for b in range(3):
+            rows[b][j] = rows[b][j] - gate.entry(b, j)
+    return Operator3(tuple(tuple(row) for row in rows))
 
 
-def reconstruct_composite(i: int) -> Ket:
-    """Resum the decomposition; must equal compose(i) exactly."""
-    _check_channel(i)
-    total = zero_ket(27, SITE_A1A2B, symbolic=True)
-    for k in range(9):
-        total = total + tensor(entangled_state(k, SITE_A1A2).ket, premeasure(i, k))
-    return total
+def reconstruction_residual(i: int) -> tuple:
+    """Resummed decomposition minus the composite, entry by entry.
+
+    Entry [9*a1 + 3*a2 + b][j] is
+    sum_k M_k[a1][a2] * G_ik[b][j] - delta_{a1 j} * M_i[a2][b],
+    the coefficient of c_j in the composite amplitude; all 81 are zero
+    exactly when the nine outcomes of channel i resum to its composite.
+    """
+    m_i = entangled_state(i).matrix
+    pairs = [(entangled_state(k).matrix, derive_gate(i, k)) for k in range(9)]
+    out = []
+    for flat in range(27):
+        a1, a2, b = flat // 9, (flat // 3) % 3, flat % 3
+        row = []
+        for j in range(3):
+            acc = -m_i.entry(a2, b) if a1 == j else ZERO
+            for m_k, g in pairs:
+                acc = acc + m_k.entry(a1, a2) * g.entry(b, j)
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)

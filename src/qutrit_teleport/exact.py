@@ -29,7 +29,7 @@ _SQRT2_F = 1.4142135623730951
 _SQRT3_F = 1.7320508075688772
 _SQRT6_F = 2.449489742783178
 
-_RATIONAL_RE = re.compile(r"^-?\d+/\d+$")
+_RATIONAL_RE = re.compile(r"^-?\d+/0*[1-9]\d*$")
 
 
 def _frac(x: RationalLike) -> Fraction:

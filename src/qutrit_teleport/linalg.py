@@ -1,239 +1,26 @@
-"""Fixed-dimension exact linear algebra for qutrit spaces.
+"""Exact 3x3 matrices over Q(sqrt2, sqrt3).
 
-State vectors (kets) live in dimension 3, 9 (two sites) or 27 (three
-sites).  Amplitudes are either plain `ExtScalar` values (constant kets,
-e.g. the shared entangled states) or `LinearForm` values, formal linear
-combinations of the three symbolic input amplitudes.  Keeping the input
-state symbolic makes gate extraction exact and unique; products of two
-symbolic kets are rejected because the composition/decomposition laws are
-strictly linear in the input amplitudes.
+One type, `Operator3`, carries every two-index object in the package: the
+coefficient grid M_i of an entangled state (row a2, column b), a
+measurement gate, a receiver's pre-measurement state (row b, column j
+holds the coefficient of the input amplitude c_j on |b>), and a recovery
+map.
 
-Flat index convention, fixed package-wide: for three sites the index is
-9*a1 + 3*a2 + b (Alice's lab slowest), and for any site pair 3*x + y.
-
-The coefficient field is real, so bras are just constant kets paired
-without conjugation and the adjoint of an operator is its transpose.
+The coefficient field is real, so the adjoint of an operator is its
+transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .exact import ONE, ZERO, ExtScalar
-
-SITE_A1 = "A1"
-SITE_A2 = "A2"
-SITE_B = "B"
-SITE_A2B = "A2⊗B"
-SITE_A1A2 = "A1⊗A2"
-SITE_A1A2B = "A1⊗A2⊗B"
-
-_VALID_DIMS = (3, 9, 27)
 
 PROVENANCE_ORACLE = "oracle"
 PROVENANCE_PAPER = "paper"
 PROVENANCE_RECOVERY = "derived-recovery"
 _PROVENANCES = (PROVENANCE_ORACLE, PROVENANCE_PAPER, PROVENANCE_RECOVERY)
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """coef0*c0 + coef1*c1 + coef2*c2 over the symbolic input amplitudes."""
-
-    coef0: ExtScalar = ZERO
-    coef1: ExtScalar = ZERO
-    coef2: ExtScalar = ZERO
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return LinearForm(
-            self.coef0 + other.coef0,
-            self.coef1 + other.coef1,
-            self.coef2 + other.coef2,
-        )
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(-self.coef0, -self.coef1, -self.coef2)
-
-    def scaled(self, s: ExtScalar) -> "LinearForm":
-        return LinearForm(self.coef0 * s, self.coef1 * s, self.coef2 * s)
-
-    def coef(self, j: int) -> ExtScalar:
-        return (self.coef0, self.coef1, self.coef2)[j]
-
-    def is_zero(self) -> bool:
-        return self.coef0.is_zero() and self.coef1.is_zero() and self.coef2.is_zero()
-
-    def evaluate(self, amplitudes: Sequence[complex]) -> complex:
-        """Numeric value for a concrete (c0, c1, c2) assignment."""
-        return (
-            float(self.coef0) * amplitudes[0]
-            + float(self.coef1) * amplitudes[1]
-            + float(self.coef2) * amplitudes[2]
-        )
-
-    def __str__(self) -> str:
-        terms = []
-        for coeff, name in ((self.coef0, "c0"), (self.coef1, "c1"), (self.coef2, "c2")):
-            if not coeff.is_zero():
-                terms.append(f"({coeff})·{name}")
-        return " + ".join(terms) if terms else "0"
-
-
-ZERO_FORM = LinearForm()
-
-Amplitude = Union[ExtScalar, LinearForm]
-
-
-@dataclass(frozen=True)
-class Ket:
-    """Exact state vector over one, two or three qutrit sites.
-
-    `amps` entries are all ExtScalar (constant ket) or all LinearForm
-    (ket linear in the symbolic input amplitudes).
-    """
-
-    amps: tuple
-    site: str
-
-    def __post_init__(self) -> None:
-        if len(self.amps) not in _VALID_DIMS:
-            raise ValueError(f"unsupported dimension {len(self.amps)}")
-        kinds = {type(a) for a in self.amps}
-        if not (kinds <= {ExtScalar} or kinds <= {LinearForm}):
-            raise TypeError("mixed constant/symbolic amplitudes in one ket")
-
-    @property
-    def dim(self) -> int:
-        return len(self.amps)
-
-    @property
-    def constant(self) -> bool:
-        return isinstance(self.amps[0], ExtScalar)
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.amps)
-
-    def __add__(self, other: "Ket") -> "Ket":
-        if not isinstance(other, Ket):
-            return NotImplemented
-        if other.dim != self.dim or other.constant != self.constant:
-            raise ValueError("incompatible kets")
-        return Ket(tuple(a + b for a, b in zip(self.amps, other.amps)), self.site)
-
-    def __sub__(self, other: "Ket") -> "Ket":
-        if not isinstance(other, Ket):
-            return NotImplemented
-        if other.dim != self.dim or other.constant != self.constant:
-            raise ValueError("incompatible kets")
-        return Ket(tuple(a - b for a, b in zip(self.amps, other.amps)), self.site)
-
-    def scaled(self, s: ExtScalar) -> "Ket":
-        if self.constant:
-            return Ket(tuple(a * s for a in self.amps), self.site)
-        return Ket(tuple(a.scaled(s) for a in self.amps), self.site)
-
-    def relabeled(self, site: str) -> "Ket":
-        return Ket(self.amps, site)
-
-
-def constant_ket(values: Sequence[ExtScalar], site: str) -> Ket:
-    return Ket(tuple(values), site)
-
-
-def linear_ket(forms: Sequence[LinearForm], site: str) -> Ket:
-    return Ket(tuple(forms), site)
-
-
-def zero_ket(dim: int, site: str, symbolic: bool = False) -> Ket:
-    fill: Amplitude = ZERO_FORM if symbolic else ZERO
-    return Ket((fill,) * dim, site)
-
-
-def basis_ket(index: int, dim: int = 3, site: str = SITE_B) -> Ket:
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    return Ket(tuple(ONE if j == index else ZERO for j in range(dim)), site)
-
-
-def symbolic_input(site: str = SITE_A1) -> Ket:
-    """The generic input qutrit c0|0> + c1|1> + c2|2>."""
-    return Ket(
-        (
-            LinearForm(coef0=ONE),
-            LinearForm(coef1=ONE),
-            LinearForm(coef2=ONE),
-        ),
-        site,
-    )
-
-
-def tensor(x: Ket, y: Ket) -> Ket:
-    """Tensor product; the left factor varies slowest in the flat index.
-
-    At most one operand may be symbolic; the product of two symbolic kets
-    would be quadratic in the input amplitudes.
-    """
-    if not x.constant and not y.constant:
-        raise ValueError("tensor of two symbolic kets is outside the linear model")
-    out_dim = x.dim * y.dim
-    if out_dim not in _VALID_DIMS:
-        raise ValueError(f"tensor would produce unsupported dimension {out_dim}")
-    amps = []
-    for ax in x.amps:
-        for ay in y.amps:
-            if isinstance(ax, LinearForm):
-                amps.append(ax.scaled(ay))
-            elif isinstance(ay, LinearForm):
-                amps.append(ay.scaled(ax))
-            else:
-                amps.append(ax * ay)
-    return Ket(tuple(amps), f"{x.site}⊗{y.site}")
-
-
-def partial_inner(bra: Ket, composite: Ket) -> Ket:
-    """Contract a constant bra over the leading sites of a composite ket.
-
-    Returns the residual single-qutrit ket: amp[b] = sum_J bra[J] *
-    composite[3*J + b].  No conjugation is needed; the field is real.
-    """
-    if not bra.constant:
-        raise ValueError("bra must be constant (no symbolic amplitudes)")
-    if composite.dim != 3 * bra.dim:
-        raise ValueError(
-            f"dimension mismatch: bra dim {bra.dim} against composite dim {composite.dim}"
-        )
-    out = []
-    for b in range(3):
-        if composite.constant:
-            acc: Amplitude = ZERO
-            for j, w in enumerate(bra.amps):
-                acc = acc + composite.amps[3 * j + b] * w
-        else:
-            acc = ZERO_FORM
-            for j, w in enumerate(bra.amps):
-                acc = acc + composite.amps[3 * j + b].scaled(w)
-        out.append(acc)
-    return Ket(tuple(out), SITE_B)
-
-
-def inner(x: Ket, y: Ket) -> ExtScalar:
-    """Real inner product of two constant kets."""
-    if not (x.constant and y.constant):
-        raise ValueError("inner product defined for constant kets only")
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
-    acc = ZERO
-    for a, b in zip(x.amps, y.amps):
-        acc = acc + a * b
-    return acc
 
 
 @dataclass(frozen=True)
@@ -256,6 +43,14 @@ class Operator3:
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
+    @classmethod
+    def from_terms(cls, scale: ExtScalar, terms, **tags) -> "Operator3":
+        """scale * sum of weight * E_{r,c} over (r, c, integer weight) terms."""
+        rows = [[ZERO, ZERO, ZERO] for _ in range(3)]
+        for r, c, weight in terms:
+            rows[r][c] = rows[r][c] + scale * weight
+        return cls(tuple(tuple(row) for row in rows), **tags)
+
     def entry(self, r: int, c: int) -> ExtScalar:
         return self.rows[r][c]
 
@@ -272,9 +67,7 @@ class Operator3:
 
     def dagger(self) -> "Operator3":
         """Adjoint; the entries are real so this is the transpose."""
-        return Operator3(
-            tuple(tuple(self.rows[r][c] for r in range(3)) for c in range(3))
-        )
+        return Operator3(tuple(zip(*self.rows)))
 
     def __matmul__(self, other: "Operator3") -> "Operator3":
         if not isinstance(other, Operator3):
@@ -290,47 +83,26 @@ class Operator3:
             rows.append(tuple(row))
         return Operator3(tuple(rows))
 
+    def _entrywise(self, other: "Operator3", op) -> "Operator3":
+        return Operator3(
+            tuple(
+                tuple(op(x, y) for x, y in zip(row, other_row))
+                for row, other_row in zip(self.rows, other.rows)
+            )
+        )
+
     def __add__(self, other: "Operator3") -> "Operator3":
         if not isinstance(other, Operator3):
             return NotImplemented
-        return Operator3(
-            tuple(
-                tuple(self.rows[r][c] + other.rows[r][c] for c in range(3))
-                for r in range(3)
-            )
-        )
+        return self._entrywise(other, ExtScalar.__add__)
 
     def __sub__(self, other: "Operator3") -> "Operator3":
         if not isinstance(other, Operator3):
             return NotImplemented
-        return Operator3(
-            tuple(
-                tuple(self.rows[r][c] - other.rows[r][c] for c in range(3))
-                for r in range(3)
-            )
-        )
+        return self._entrywise(other, ExtScalar.__sub__)
 
     def scaled(self, s: ExtScalar) -> "Operator3":
-        return Operator3(
-            tuple(tuple(self.rows[r][c] * s for c in range(3)) for r in range(3))
-        )
-
-    def apply(self, ket: Ket) -> Ket:
-        """Matrix action on a 3-dim ket (constant or symbolic)."""
-        if ket.dim != 3:
-            raise ValueError("Operator3 acts on 3-dim kets")
-        out = []
-        for r in range(3):
-            if ket.constant:
-                acc: Amplitude = ZERO
-                for c in range(3):
-                    acc = acc + self.rows[r][c] * ket.amps[c]
-            else:
-                acc = ZERO_FORM
-                for c in range(3):
-                    acc = acc + ket.amps[c].scaled(self.rows[r][c])
-            out.append(acc)
-        return Ket(tuple(out), ket.site)
+        return Operator3(tuple(tuple(e * s for e in row) for row in self.rows))
 
     def trace(self) -> ExtScalar:
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
@@ -356,40 +128,23 @@ class Operator3:
         return Operator3(tuple(tuple(cof[j][i] for j in range(3)) for i in range(3)))
 
     def rank(self) -> int:
-        """Exact rank from the determinant and minors."""
+        """Exact rank: 3 if det != 0, else 2 if some 2x2 minor (an entry of
+        the adjugate) is nonzero, else 1 or 0."""
         if not self.det().is_zero():
             return 3
-        r = self.rows
-        for i in (0, 1, 2):
-            for j in (0, 1, 2):
-                a, b = [x for x in range(3) if x != i]
-                c, d = [x for x in range(3) if x != j]
-                if not (r[a][c] * r[b][d] - r[a][d] * r[b][c]).is_zero():
-                    return 2
+        if not self.adjugate().is_zero():
+            return 2
         return 0 if self.is_zero() else 1
 
     @classmethod
     def identity(cls) -> "Operator3":
-        return cls(
-            tuple(tuple(ONE if r == c else ZERO for c in range(3)) for r in range(3))
-        )
+        return cls.from_terms(ONE, ((0, 0, 1), (1, 1, 1), (2, 2, 1)))
 
     @classmethod
     def zero(cls) -> "Operator3":
         return cls(((ZERO,) * 3,) * 3)
 
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
-
-
-def extract_gate(s: Ket) -> Operator3:
-    """The unique matrix M with M|phi> = s for every input assignment.
-
-    Row b, column j of M is the coefficient of c_j in amplitude b of the
-    symbolic ket s.
-    """
-    if s.dim != 3:
-        raise ValueError("gate extraction needs a 3-dim ket")
-    if s.constant:
-        raise ValueError("gate extraction needs a symbolic ket")
-    return Operator3(tuple(tuple(s.amps[b].coef(j) for j in range(3)) for b in range(3)))
+    @classmethod
+    def unit(cls, r: int, c: int) -> "Operator3":
+        """The matrix unit E_{r,c}: one at (r, c), zero elsewhere."""
+        return cls.from_terms(ONE, ((r, c, 1),))

@@ -41,14 +41,7 @@ from .exact import (
     ZERO,
     rational,
 )
-from .linalg import (
-    Ket,
-    LinearForm,
-    Operator3,
-    PROVENANCE_PAPER,
-    SITE_B,
-    linear_ket,
-)
+from .linalg import PROVENANCE_PAPER, Operator3
 
 KIND_PREMEASURE = "premeasure"
 KIND_GATE = "gate"
@@ -93,24 +86,22 @@ class PaperEntry:
     notes: str = ""
 
 
-def _printed_ket(scale: ExtScalar, terms) -> Ket:
-    """Build a symbolic receiver ket from (amp_index, ket_index, weight)."""
-    coefs = [[ZERO, ZERO, ZERO] for _ in range(3)]
-    for amp_index, ket_index, weight in terms:
-        coefs[ket_index][amp_index] = coefs[ket_index][amp_index] + scale * weight
-    return linear_ket([LinearForm(*row) for row in coefs], SITE_B)
+def _printed_ket(scale: ExtScalar, terms, channel: int, outcome: int) -> Operator3:
+    """Coefficient grid of a printed receiver state from (amp_index,
+    ket_index, weight) terms: row ket_index, column amp_index."""
+    return Operator3.from_terms(
+        scale,
+        ((b, j, weight) for j, b, weight in terms),
+        provenance=PROVENANCE_PAPER,
+        channel=channel,
+        outcome=outcome,
+    )
 
 
 def _printed_gate(scale: ExtScalar, terms, channel: int, outcome: int) -> Operator3:
     """Build a gate matrix from (row, col, weight) ket-bra terms."""
-    rows = [[ZERO, ZERO, ZERO] for _ in range(3)]
-    for r, c, weight in terms:
-        rows[r][c] = rows[r][c] + scale * weight
-    return Operator3(
-        tuple(tuple(row) for row in rows),
-        provenance=PROVENANCE_PAPER,
-        channel=channel,
-        outcome=outcome,
+    return Operator3.from_terms(
+        scale, terms, provenance=PROVENANCE_PAPER, channel=channel, outcome=outcome
     )
 
 
@@ -413,7 +404,7 @@ def _build_premeasure_entries() -> dict:
                 channel=channel,
                 outcome=outcome,
                 kind=KIND_PREMEASURE,
-                value=_printed_ket(scale, terms),
+                value=_printed_ket(scale, terms, channel, outcome),
                 printed_label=label,
                 notes=notes,
             )
@@ -532,11 +523,7 @@ _PERMUTATIONS = (
 
 
 def _vec_support(values) -> frozenset:
-    return frozenset(i for i, v in enumerate(values) if not _is_zero(v))
-
-
-def _is_zero(v) -> bool:
-    return v.is_zero()
+    return frozenset(i for i, v in enumerate(values) if not v.is_zero())
 
 
 def _classify_support(paper_support, oracle_support) -> str:
@@ -547,15 +534,27 @@ def _classify_support(paper_support, oracle_support) -> str:
     return COEFFICIENT
 
 
-def classify_ket(paper: Ket, oracle: Ket) -> str:
+def classify_ket(paper: Operator3, oracle: Operator3) -> str:
+    """Classify a printed pre-measurement state against the oracle's.
+
+    Both are coefficient grids (row b = the amplitude on |b>).  A row
+    permutation is an index swap and the support is the set of nonzero
+    rows, unlike `classify_gate`, which compares single entries.
+    """
     if (paper - oracle).is_zero():
         return MATCH
     if (paper + oracle).is_zero():
         return SIGN
     for perm in _PERMUTATIONS[1:]:
-        if all(paper.amps[perm[b]] == oracle.amps[b] for b in range(3)):
+        if all(paper.rows[perm[b]] == oracle.rows[b] for b in range(3)):
             return INDEX_SWAP
-    return _classify_support(_vec_support(paper.amps), _vec_support(oracle.amps))
+    return _classify_support(_row_support(paper), _row_support(oracle))
+
+
+def _row_support(grid: Operator3) -> frozenset:
+    return frozenset(
+        b for b in range(3) if not all(e.is_zero() for e in grid.rows[b])
+    )
 
 
 def classify_gate(paper: Operator3, oracle: Operator3) -> str:
@@ -614,7 +613,7 @@ def compare_tables() -> ErrataReport:
     for i in range(9):
         for k in range(9):
             entry = paper_premeasure(i, k)
-            oracle_ket = engine.premeasure(i, k)
+            oracle_state = engine.derive_gate(i, k)
             entries.append(
                 ErrataEntry(
                     location=entry.location,
@@ -622,10 +621,10 @@ def compare_tables() -> ErrataReport:
                     channel=i,
                     outcome=k,
                     printed_label=entry.printed_label,
-                    discrepancy=classify_ket(entry.value, oracle_ket),
+                    discrepancy=classify_ket(entry.value, oracle_state),
                     notes=entry.notes,
                     paper_value=entry.value,
-                    oracle_value=oracle_ket,
+                    oracle_value=oracle_state,
                 )
             )
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import analysis, engine
 from .basis import all_states, expand_product, gram_matrix
 from .exact import ExtScalar
-from .linalg import Ket, LinearForm, Operator3
+from .linalg import Operator3
 from .published import ErrataReport
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
@@ -62,44 +62,43 @@ def scalar_latex(x: ExtScalar) -> str:
 # -- kets and gates --------------------------------------------------------------
 
 
-def _pair_label(flat: int) -> str:
-    return f"|{flat // 3}⟩|{flat % 3}⟩"
-
-
-def constant_ket_text(ket: Ket) -> str:
-    terms = []
-    for flat, amp in enumerate(ket.amps):
-        if amp.is_zero():
-            continue
-        label = _pair_label(flat) if ket.dim == 9 else f"|{flat}⟩"
-        terms.append(f"({scalar_text(amp)}){label}")
+def entangled_state_text(amps) -> str:
+    terms = [
+        f"({scalar_text(amp)})|{flat // 3}⟩|{flat % 3}⟩"
+        for flat, amp in enumerate(amps)
+        if not amp.is_zero()
+    ]
     return " + ".join(terms) if terms else "0"
 
 
-def symbolic_ket_text(ket: Ket) -> str:
-    terms = []
-    for b, form in enumerate(ket.amps):
-        if form.is_zero():
-            continue
-        terms.append(f"[{form}]|{b}⟩")
+def _form_text(row) -> str:
+    terms = [f"({c})·c{j}" for j, c in enumerate(row) if not c.is_zero()]
     return " + ".join(terms) if terms else "0"
 
 
-def form_latex(form: LinearForm) -> str:
-    parts = []
-    for coeff, name in ((form.coef0, "c_0"), (form.coef1, "c_1"), (form.coef2, "c_2")):
-        if coeff.is_zero():
-            continue
-        parts.append(f"({scalar_latex(coeff)}){name}")
+def premeasure_text(grid: Operator3) -> str:
+    """c-linear receiver state from its coefficient grid (row b = |b>)."""
+    terms = [
+        f"[{_form_text(row)}]|{b}⟩"
+        for b, row in enumerate(grid.rows)
+        if not all(c.is_zero() for c in row)
+    ]
+    return " + ".join(terms) if terms else "0"
+
+
+def _form_latex(row) -> str:
+    parts = [
+        f"({scalar_latex(c)})c_{j}" for j, c in enumerate(row) if not c.is_zero()
+    ]
     return "+".join(parts) if parts else "0"
 
 
-def symbolic_ket_latex(ket: Ket) -> str:
-    terms = []
-    for b, form in enumerate(ket.amps):
-        if form.is_zero():
-            continue
-        terms.append(f"\\big[{form_latex(form)}\\big]\\ket{{{b}}}")
+def premeasure_latex(grid: Operator3) -> str:
+    terms = [
+        f"\\big[{_form_latex(row)}\\big]\\ket{{{b}}}"
+        for b, row in enumerate(grid.rows)
+        if not all(c.is_zero() for c in row)
+    ]
     return "+".join(terms) if terms else "0"
 
 
@@ -126,7 +125,7 @@ def basis_text() -> str:
     lines = ["Entangled two-qutrit basis (site pair A2,B)", ""]
     for state in all_states():
         lines.append(
-            f"Psi_{state.index} [{state.family}]: {constant_ket_text(state.ket)}"
+            f"Psi_{state.index} [{state.family}]: {entangled_state_text(state.flat())}"
         )
     lines.append("")
     lines.append("Gram matrix <Psi_a|Psi_b>:")
@@ -150,7 +149,7 @@ def basis_latex() -> str:
     lines = ["% entangled basis states", "\\begin{align}"]
     for state in all_states():
         terms = []
-        for flat, amp in enumerate(state.ket.amps):
+        for flat, amp in enumerate(state.flat()):
             if amp.is_zero():
                 continue
             coeff = scalar_latex(amp)
@@ -176,7 +175,7 @@ def derive_text(channels, roman: bool = False, outcome=None) -> str:
             gate = engine.derive_gate(i, k)
             profile = analysis.profile_gate(gate)
             lines.append(
-                f" outcome {k}: premeasure = {symbolic_ket_text(engine.premeasure(i, k))}"
+                f" outcome {k}: premeasure = {premeasure_text(gate)}"
             )
             lines.append(f"  gate ({profile.classification}, rank {profile.rank}):")
             lines.append(gate_text(gate))
@@ -200,10 +199,10 @@ def derive_latex(channels, roman: bool = False, outcome=None) -> str:
             gate = engine.derive_gate(i, k)
             profile = analysis.profile_gate(gate)
             delta = engine.delta_qt(i, k, gate)
-            delta_tex = "0" if delta.is_zero() else symbolic_ket_latex(delta)
+            delta_tex = "0" if delta.is_zero() else premeasure_latex(delta)
             lines.append(
                 f"$\\ket{{\\Psi_{{{k}}}}}$ & "
-                f"${symbolic_ket_latex(engine.premeasure(i, k))}$ & "
+                f"${premeasure_latex(gate)}$ & "
                 f"${gate_latex(gate)}$ & ${delta_tex}$ & "
                 f"{profile.classification.replace('_', ' ')} \\\\"
             )

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .basis import ExpansionRow
 from .exact import ExtScalar
-from .linalg import Ket, LinearForm, Operator3, SITE_B, linear_ket
+from .linalg import Operator3
 from .published import (
     KIND_EXPANSION,
     KIND_GATE,
@@ -32,7 +32,7 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
-# -- scalars, forms, kets, operators ----------------------------------------
+# -- scalars, pre-measurement states, operators --------------------------------
 
 
 def scalar_to_obj(x: ExtScalar) -> dict:
@@ -40,38 +40,22 @@ def scalar_to_obj(x: ExtScalar) -> dict:
 
 
 def scalar_from_obj(obj: dict) -> ExtScalar:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a scalar object, got {type(obj).__name__}")
     return ExtScalar.from_json_obj(obj)
 
 
-def form_to_obj(f: LinearForm) -> dict:
+def premeasure_to_obj(grid: Operator3) -> dict:
+    """A pre-measurement coefficient grid in the receiver-ket wire form:
+    one {"c0", "c1", "c2"} linear form per amplitude, i.e. per grid row."""
     return {
-        "c0": scalar_to_obj(f.coef0),
-        "c1": scalar_to_obj(f.coef1),
-        "c2": scalar_to_obj(f.coef2),
+        "site": "B",
+        "constant": False,
+        "amplitudes": [
+            {f"c{j}": scalar_to_obj(grid.entry(b, j)) for j in range(3)}
+            for b in range(3)
+        ],
     }
-
-
-def form_from_obj(obj: dict) -> LinearForm:
-    return LinearForm(
-        scalar_from_obj(obj["c0"]),
-        scalar_from_obj(obj["c1"]),
-        scalar_from_obj(obj["c2"]),
-    )
-
-
-def ket_to_obj(k: Ket) -> dict:
-    amp_objs = [
-        scalar_to_obj(a) if k.constant else form_to_obj(a) for a in k.amps
-    ]
-    return {"site": k.site, "constant": k.constant, "amplitudes": amp_objs}
-
-
-def symbolic_ket_from_obj(obj: dict) -> Ket:
-    if obj.get("constant"):
-        raise ValueError("expected a symbolic ket")
-    return linear_ket(
-        [form_from_obj(a) for a in obj["amplitudes"]], obj.get("site", SITE_B)
-    )
 
 
 def gate_to_obj(g: Operator3) -> dict:
@@ -83,9 +67,19 @@ def gate_to_obj(g: Operator3) -> dict:
     }
 
 
+def _is_index(value) -> bool:
+    return type(value) is int and 0 <= value <= 8
+
+
 def gate_from_obj(obj: dict) -> Operator3:
-    entries = obj["entries"]
-    if len(entries) != 3 or any(len(row) != 3 for row in entries):
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a gate object, got {type(obj).__name__}")
+    entries = obj.get("entries")
+    if not (
+        isinstance(entries, list)
+        and len(entries) == 3
+        and all(isinstance(row, list) and len(row) == 3 for row in entries)
+    ):
         raise ValueError("gate entries must form a 3x3 grid")
     rows = tuple(
         tuple(scalar_from_obj(cell) for cell in row) for row in entries
@@ -119,12 +113,17 @@ def gate_table_dumps(gates: dict) -> str:
 
 
 def gate_table_loads(text: str) -> dict:
+    """Parse a gate table; ValueError or KeyError for any malformed input."""
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("gates"), list):
+        raise ValueError('expected an object with a "gates" list')
+    if not doc["gates"]:
+        raise ValueError("the table lists no gates")
     gates = {}
     for obj in doc["gates"]:
         g = gate_from_obj(obj)
-        if g.channel is None or g.outcome is None:
-            raise ValueError("gate table entries need channel and outcome tags")
+        if not (_is_index(g.channel) and _is_index(g.outcome)):
+            raise ValueError("gate table entries need channel and outcome tags in 0..8")
         key = (g.channel, g.outcome)
         if key in gates:
             raise ValueError(f"duplicate gate for channel/outcome {key}")
@@ -141,7 +140,7 @@ def _entry_value_to_obj(kind: str, value) -> Optional[object]:
     if kind == KIND_GATE:
         return gate_to_obj(value)
     if kind == KIND_PREMEASURE:
-        return ket_to_obj(value)
+        return premeasure_to_obj(value)
     if kind == KIND_EXPANSION:
         return expansion_to_obj(value)
     if kind == KIND_LABEL:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qutrit_teleport import analysis, engine
+from qutrit_teleport.basis import entangled_state
 from qutrit_teleport.analysis import (
     CLASS_INVERTIBLE,
     CLASS_PROP_UNITARY,
@@ -166,3 +167,72 @@ def test_field_cbrt_monomials():
     assert analysis._field_cbrt(two_sqrt2) == ExtScalar(q2=Fraction(1))
     assert analysis._field_cbrt(rational(2)) is None
     assert analysis._field_cbrt(ExtScalar(q2=Fraction(1))) is None
+
+
+def test_icbrt_is_exact_beyond_float_precision():
+    n = 10**20 + 1
+    assert analysis._icbrt(n**3) == n
+    assert analysis._icbrt(n**3 + 1) is None
+    assert analysis._icbrt(n**3 - 1) is None
+    assert [analysis._icbrt(x) for x in (0, 1, 7, 8, 9, 26, 27)] == [0, 1, None, 2, None, None, 3]
+    assert analysis._icbrt(-8) is None
+
+
+# -- why the census comes out as it does -------------------------------------
+#
+# With M_i the 3x3 coefficient grid of Psi_i, every gate is
+# G_ik = M_i^T M_k^T.  The census follows from three exact facts.
+
+
+def _grids():
+    return [entangled_state(i).matrix for i in range(9)]
+
+
+def test_theorem_outcome_completeness_from_the_state_grids():
+    # sum_k M_k A M_k^T = tr(A) I for every matrix unit A, hence for every A;
+    # with A = M_i M_i^T (trace 1) this is sum_k G_ik^T G_ik = I
+    grids = _grids()
+    identity = Operator3.identity()
+    for r in range(3):
+        for c in range(3):
+            a = Operator3.unit(r, c)
+            total = Operator3.zero()
+            for m in grids:
+                total = total + m @ a @ m.dagger()
+            assert total == identity.scaled(a.trace())
+    for i, m_i in enumerate(grids):
+        a = m_i @ m_i.dagger()
+        assert a.trace() == rational(1)
+        total = Operator3.zero()
+        for k in range(9):
+            g = engine.derive_gate(i, k)
+            total = total + g.dagger() @ g
+        assert total == identity
+
+
+def test_theorem_gate_rank_bounded_by_schmidt_ranks():
+    schmidt = [m.rank() for m in _grids()]
+    assert schmidt == [3, 2, 2, 2, 2, 2, 2, 2, 3]
+    for i in range(9):
+        for k in range(9):
+            assert engine.derive_gate(i, k).rank() <= min(schmidt[i], schmidt[k])
+
+
+def test_theorem_invertible_gates_need_two_full_schmidt_rank_states():
+    # only the singlet and the octet have Schmidt rank 3, so the invertible
+    # gates sit exactly at (i, k) in {0, 8}^2; only the singlet is maximally
+    # entangled (M M^T = I/3), and only (0, 0) is proportional to a unitary
+    invertible = {
+        (i, k) for i in range(9) for k in range(9) if engine.derive_gate(i, k).rank() == 3
+    }
+    assert invertible == {(0, 0), (0, 8), (8, 0), (8, 8)}
+    prop_unitary = {
+        (i, k)
+        for i in range(9)
+        for k in range(9)
+        if profile_gate(engine.derive_gate(i, k)).classification == CLASS_PROP_UNITARY
+    }
+    assert prop_unitary == {(0, 0)}
+    third = Operator3.identity().scaled(rational(1, 3))
+    maximal = [i for i, m in enumerate(_grids()) if m @ m.dagger() == third]
+    assert maximal == [0]

@@ -3,6 +3,8 @@
 import json
 
 import jsonschema
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qutrit_teleport import serialize
 from qutrit_teleport.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
@@ -192,3 +194,107 @@ def test_roman_numeral_display(capsys):
     )
     assert code == EXIT_OK
     assert "8 (IX)" in out
+
+
+def _scalar(q1):
+    return {"q1": q1, "q2": "0/1", "q3": "0/1", "q6": "0/1"}
+
+
+def _gate_doc(**overrides):
+    # the oracle gate (0, 0) is the identity over three
+    gate = {
+        "channel": 0,
+        "outcome": 0,
+        "provenance": "oracle",
+        "entries": [[_scalar("1/3" if r == c else "0/1") for c in range(3)] for r in range(3)],
+    }
+    gate.update(overrides)
+    return {"gates": [gate]}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[]",
+        b'{"gates": [1]}',
+        b"\xff\xfe not utf-8",
+        b"{not json",
+        b"[" * 100_000,
+        b'{"gates": []}',
+        b'{"gates": "abc"}',
+        json.dumps(_gate_doc(entries=[[1, 2, 3]] * 3)).encode(),
+        json.dumps(_gate_doc(entries=[[_scalar("1/0")] * 3] * 3)).encode(),
+        json.dumps(_gate_doc(channel=9)).encode(),
+        json.dumps(_gate_doc(channel="0")).encode(),
+        json.dumps(_gate_doc(outcome=True)).encode(),
+        json.dumps(_gate_doc(provenance=["oracle"])).encode(),
+    ],
+    ids=[
+        "array",
+        "non-object-gate",
+        "not-utf8",
+        "not-json",
+        "deep-nesting",
+        "no-gates",
+        "gates-string",
+        "non-object-scalars",
+        "zero-denominator",
+        "channel-out-of-range",
+        "channel-string",
+        "outcome-bool",
+        "provenance-list",
+    ],
+)
+def test_import_malformed_table_exits_2_with_one_line(tmp_path, capsys, content):
+    path = tmp_path / "table.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, ["import", str(path)])
+    assert code == EXIT_VIOLATION
+    assert out == ""
+    assert err.startswith("malformed gate table: ")
+    assert err.count("\n") == 1
+
+
+def test_import_of_a_good_table_still_passes(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_gate_doc()))
+    code, out, _ = run_cli(capsys, ["import", str(path)])
+    assert code == EXIT_OK
+    assert out == "1 gates match the derivation exactly\n"
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_import_unreadable_path_is_a_usage_error(tmp_path, capsys, name):
+    code, out, err = run_cli(capsys, ["import", str(tmp_path / name)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: cannot read ")
+    assert err.count("\n") == 1
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+# near misses of a gate table: the right keys around arbitrary values
+_GATE_LIKE = st.fixed_dictionaries(
+    {"channel": _JSON_VALUES, "outcome": _JSON_VALUES, "entries": _JSON_VALUES}
+)
+_TABLE_LIKE = st.fixed_dictionaries({"gates": st.lists(_GATE_LIKE | _JSON_VALUES, max_size=3)})
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=_JSON_VALUES | _TABLE_LIKE)
+def test_import_of_arbitrary_json_never_tracebacks(tmp_path, capsys, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["import", str(path)])
+    assert code in (EXIT_USAGE, EXIT_VIOLATION)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err

@@ -143,8 +143,11 @@ def test_json_roundtrip_and_canonical_form():
 
 
 def test_json_rejects_malformed_literals():
-    with pytest.raises(ValueError):
-        ExtScalar.from_json_obj({"q1": "1.5", "q2": "0/1", "q3": "0/1", "q6": "0/1"})
+    for literal in ("1.5", "1/0", "-3/00"):
+        with pytest.raises(ValueError):
+            ExtScalar.from_json_obj({"q1": literal, "q2": "0/1", "q3": "0/1", "q6": "0/1"})
+    leading_zero = {"q1": "3/04", "q2": "0/1", "q3": "0/1", "q6": "0/1"}
+    assert ExtScalar.from_json_obj(leading_zero) == rational(3, 4)
 
 
 _small = st.fractions(
