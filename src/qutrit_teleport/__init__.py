@@ -6,6 +6,10 @@ Q(sqrt2, sqrt3), diffs them against the published tables into a
 machine-readable errata report, analyzes gate non-unitarity and
 completeness, and runs a seeded Monte-Carlo simulation of the three-party
 protocol.
+
+The simulation names (``BatchSummary``, ``TrialRecord``, ``run_batch``,
+``run_trial``) are loaded on first access, so importing the package for
+exact work does not import numpy.
 """
 
 from .exact import ExtScalar, rational
@@ -14,7 +18,6 @@ from .basis import EntangledState, ExpansionRow, entangled_state, expand_product
 from .engine import derive_all, derive_gate
 from .published import compare_tables
 from .analysis import GateProfile, profile_gate, recovery
-from .simulate import BatchSummary, TrialRecord, run_batch, run_trial
 
 __all__ = [
     "ExtScalar",
@@ -37,3 +40,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_SIMULATE_NAMES = ("BatchSummary", "TrialRecord", "run_batch", "run_trial")
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

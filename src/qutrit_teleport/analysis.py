@@ -9,7 +9,8 @@ but not proportional to a unitary, and singular (part of the input is
 destroyed; no deterministic recovery).
 
 The numeric layer evaluates Born-rule outcome probabilities and
-post-recovery fidelities in floating point from the exact gates.
+post-recovery fidelities in floating point from the exact gates.  It
+imports numpy when first called, so the exact layer runs without it.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import engine
 from .exact import ExtScalar
 from .linalg import Operator3, PROVENANCE_RECOVERY
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLASS_PROP_UNITARY = "proportional_to_unitary"
 CLASS_INVERTIBLE = "invertible_not_prop_unitary"
@@ -94,11 +96,17 @@ def completeness(i: int, gates: Optional[Sequence[Operator3]] = None) -> Complet
     return CompletenessResult(i, total, (total - Operator3.identity()).is_zero())
 
 
+@lru_cache(maxsize=None)
+def channel_profiles(i: int) -> tuple[GateProfile, ...]:
+    """Profiles of one channel's nine oracle gates, in outcome order."""
+    return tuple(profile_gate(engine.derive_gate(i, k)) for k in range(9))
+
+
 def channel_census(i: int) -> dict:
     """Gate counts per classification for one channel's oracle gates."""
     counts = {CLASS_PROP_UNITARY: 0, CLASS_INVERTIBLE: 0, CLASS_SINGULAR: 0}
-    for k in range(9):
-        counts[profile_gate(engine.derive_gate(i, k)).classification] += 1
+    for p in channel_profiles(i):
+        counts[p.classification] += 1
     return counts
 
 
@@ -108,6 +116,8 @@ def channel_census(i: int) -> dict:
 
 
 def gate_matrix(g: Operator3) -> np.ndarray:
+    import numpy as np
+
     return np.array(
         [[float(g.entry(r, c)) for c in range(3)] for r in range(3)], dtype=float
     )
@@ -116,17 +126,23 @@ def gate_matrix(g: Operator3) -> np.ndarray:
 @lru_cache(maxsize=None)
 def oracle_gate_stack(i: int) -> np.ndarray:
     """(9, 3, 3) float array of the channel's oracle gates."""
+    import numpy as np
+
     return np.stack([gate_matrix(engine.derive_gate(i, k)) for k in range(9)])
 
 
 @lru_cache(maxsize=None)
 def oracle_effect_stack(i: int) -> np.ndarray:
     """(9, 3, 3) float array of G^T G per outcome (Born-rule effects)."""
+    import numpy as np
+
     gates = oracle_gate_stack(i)
     return np.einsum("kji,kjl->kil", gates, gates)
 
 
 def as_state(phi: Sequence[complex]) -> np.ndarray:
+    import numpy as np
+
     v = np.asarray(phi, dtype=complex).reshape(3)
     norm = float(np.vdot(v, v).real)
     if abs(norm - 1.0) > _NORM_TOL:
@@ -136,6 +152,8 @@ def as_state(phi: Sequence[complex]) -> np.ndarray:
 
 def outcome_distribution(i: int, phi: Sequence[complex]) -> np.ndarray:
     """Born probabilities over the nine outcomes for a normalized state."""
+    import numpy as np
+
     v = as_state(phi)
     p = np.einsum("i,kij,j->k", v.conj(), oracle_effect_stack(i), v).real
     return np.clip(p, 0.0, None)
@@ -238,6 +256,8 @@ def fidelity_after_recovery(i: int, k: int, phi: Sequence[complex]) -> Optional[
     Raises ValueError when the outcome has zero probability for this input
     (the conditional state is undefined there).
     """
+    import numpy as np
+
     v = as_state(phi)
     p = outcome_probability(i, k, phi)
     if p <= 1e-15:
@@ -260,6 +280,8 @@ def expected_fidelities(i: int, phi: Sequence[complex]) -> dict:
     construction); `all_outcomes` also scores singular outcomes by the
     overlap of the un-recovered conditional state with the input.
     """
+    import numpy as np
+
     v = as_state(phi)
     p = outcome_distribution(i, phi)
     inv_weight = 0.0

@@ -15,7 +15,7 @@ import io
 import sys
 from typing import Optional
 
-from . import analysis, engine, published, render, serialize, simulate
+from . import analysis, engine, published, render, serialize
 from . import __version__
 from .basis import expand_product, gram_matrix, projector_sum, reconstruct_product
 from .exact import ExtScalar
@@ -268,6 +268,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # the only subcommand that needs numpy; the others never import it
+    from . import simulate
+
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
     state = None if args.haar else _parse_state(args.state)

@@ -8,8 +8,9 @@ is stored as four exact rationals (q1, q2, q3, q6) meaning
 
 Rationals are `fractions.Fraction`, so components are always in canonical
 form (gcd-reduced, positive denominator) and structural equality is
-semantic equality.  All operations are pure; instances are immutable and
-hashable.
+semantic equality.  A rational element also equals, and hashes like, the
+int or Fraction it embeds, so ``ExtScalar(1) == 1``.  All operations are
+pure; instances are immutable and hashable.
 
 The common printed coefficients map to single components, e.g.
 1/sqrt(6) == sqrt(6)/6 is stored as q6 = 1/6, and 1/(2*sqrt(3)) ==
@@ -40,7 +41,7 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtScalar:
     """q1 + q2*sqrt2 + q3*sqrt3 + q6*sqrt6 with exact rational components."""
 
@@ -52,6 +53,25 @@ class ExtScalar:
     def __post_init__(self) -> None:
         for name in ("q1", "q2", "q3", "q6"):
             object.__setattr__(self, name, _frac(getattr(self, name)))
+
+    # -- equality --------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExtScalar):
+            return (
+                self.q1 == other.q1
+                and self.q2 == other.q2
+                and self.q3 == other.q3
+                and self.q6 == other.q6
+            )
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.q1 == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self.is_rational():
+            return hash(self.q1)
+        return hash((self.q1, self.q2, self.q3, self.q6))
 
     # -- ring operations -------------------------------------------------
 
@@ -115,7 +135,8 @@ class ExtScalar:
         c23 = ExtScalar(self.q1, -self.q2, -self.q3, self.q6)
         numer = c2 * c3 * c23
         norm = self * numer
-        assert norm.q2 == 0 and norm.q3 == 0 and norm.q6 == 0
+        if not norm.is_rational():
+            raise ArithmeticError(f"field norm of {self} is not rational: {norm}")
         return numer * (1 / norm.q1)
 
     # -- predicates and conversions ---------------------------------------

@@ -294,8 +294,7 @@ def analysis_markdown(channels, roman: bool = False) -> str:
             "| outcome | tr G^T G | ||G^T G - I||_F^2 | scaled deviation | rank | class |"
         )
         lines.append("| --- | --- | --- | --- | --- | --- |")
-        for k in range(9):
-            p = analysis.profile_gate(engine.derive_gate(i, k))
+        for k, p in enumerate(analysis.channel_profiles(i)):
             lines.append(
                 f"| {k} | {scalar_text(p.frobenius_norm_sq)} "
                 f"| {scalar_text(p.unitarity_deviation_sq)} "
@@ -312,8 +311,7 @@ def analysis_obj(channels) -> dict:
         comp = analysis.completeness(i)
         census = analysis.channel_census(i)
         gates = []
-        for k in range(9):
-            p = analysis.profile_gate(engine.derive_gate(i, k))
+        for k, p in enumerate(analysis.channel_profiles(i)):
             gates.append(
                 {
                     "outcome": k,

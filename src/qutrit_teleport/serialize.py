@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .basis import ExpansionRow
 from .exact import ExtScalar
@@ -25,7 +25,9 @@ from .published import (
     KIND_PREMEASURE,
     ErrataReport,
 )
-from .simulate import BatchSummary, TrialRecord
+
+if TYPE_CHECKING:
+    from .simulate import BatchSummary, TrialRecord
 
 
 def dumps_canonical(obj) -> str:

@@ -72,6 +72,25 @@ def test_inverse_of_zero_raises():
         ZERO.inverse()
 
 
+def test_inverse_rejects_an_irrational_norm(monkeypatch):
+    # Adding sqrt2 to every product leaves a surd in the norm that
+    # inverse() computes, so its rationality check has to fire.
+    exact_mul = ExtScalar.__mul__
+    monkeypatch.setattr(ExtScalar, "__mul__", lambda a, b: exact_mul(a, b) + SQRT2)
+    with pytest.raises(ArithmeticError, match="not rational"):
+        SQRT3.inverse()
+
+
+def test_rational_elements_equal_ints_and_fractions():
+    assert ExtScalar(1) == 1
+    assert 1 == ONE
+    assert rational(-2, 3) == Fraction(-2, 3)
+    assert ZERO == 0
+    assert SQRT2 != 0 and SQRT2 != 1
+    assert ONE != 1.0  # no float embedding: floats are not field elements
+    assert len({ONE, 1, Fraction(1)}) == 1
+
+
 def test_float_evaluation():
     assert float(ZERO) == 0.0
     assert float(INV_SQRT6) == pytest.approx(0.408248290, abs=1e-9)
@@ -154,6 +173,18 @@ _small = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=8
 )
 _scalars = st.builds(ExtScalar, _small, _small, _small, _small)
+
+
+@given(_scalars, _small)
+def test_eq_and_hash_agree_with_the_rational_embedding(a, y):
+    embedded = ExtScalar(y)
+    assert (a == y) == (y == a) == (a == embedded)
+    assert (a != y) == (a != embedded)
+    assert hash(embedded) == hash(y)
+    if y.denominator == 1:
+        assert embedded == int(y) and hash(embedded) == hash(int(y))
+    if a == y:
+        assert hash(a) == hash(y)
 
 
 @given(_scalars, _scalars)

@@ -1,0 +1,90 @@
+"""Cold-start contract: each process loads only what its subcommand needs.
+
+The exact subcommands and a bare package import never load numpy or
+scipy; `simulate` loads numpy but never scipy.  Every check runs in a
+fresh interpreter, because this test process has numpy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qutrit_teleport
+from qutrit_teleport import simulate
+
+_SRC = str(Path(qutrit_teleport.__file__).resolve().parents[1])
+
+# Runs the cli.main argv lists given as JSON in argv[1] after running the
+# import statement in argv[2], then prints the exit codes and which of
+# numpy and scipy ended up in sys.modules.
+_PROBE = """
+import contextlib, io, json, sys
+exec(sys.argv[2])
+commands, codes = json.loads(sys.argv[1]), []
+if commands:
+    from qutrit_teleport import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in commands]
+loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def _probe(commands, statement="pass"):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(commands), statement],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "statement", ["import qutrit_teleport", "import qutrit_teleport.cli"]
+)
+def test_package_import_loads_neither_numpy_nor_scipy(statement):
+    assert _probe([], statement) == {"codes": [], "loaded": []}
+
+
+@pytest.mark.parametrize(
+    "commands",
+    [
+        [["basis"]],
+        [["derive"]],
+        [["verify"]],
+        [["compare"]],
+        [["analyze"]],
+        [["export", "--out", "{table}"]],
+        [["export", "--out", "{table}"], ["import", "{table}"]],
+    ],
+    ids=["basis", "derive", "verify", "compare", "analyze", "export", "import"],
+)
+def test_exact_subcommands_load_neither_numpy_nor_scipy(commands, tmp_path):
+    table = str(tmp_path / "table.json")
+    argvs = [[arg.format(table=table) for arg in argv] for argv in commands]
+    assert _probe(argvs) == {"codes": [0] * len(argvs), "loaded": []}
+
+
+def test_simulate_loads_numpy_but_not_scipy():
+    argv = ["simulate", "--channel", "0", "--trials", "200", "--haar"]
+    assert _probe([argv]) == {"codes": [0], "loaded": ["numpy"]}
+
+
+def test_lazy_package_names_resolve():
+    for name in ("BatchSummary", "TrialRecord", "run_batch", "run_trial"):
+        assert name in qutrit_teleport.__all__
+        assert getattr(qutrit_teleport, name) is getattr(simulate, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qutrit_teleport.no_such_name
+
+
+def test_chi_square_table_matches_scipy_bit_for_bit():
+    stats = pytest.importorskip("scipy.stats")
+    expected = tuple(
+        float(stats.chi2.ppf(simulate._CHI2_QUANTILE, dof)) for dof in range(1, 9)
+    )
+    assert simulate._CHI2_THRESHOLDS == expected
