@@ -8,9 +8,11 @@ classes: proportional to a unitary (deterministic recovery), invertible
 but not proportional to a unitary, and singular (part of the input is
 destroyed; no deterministic recovery).
 
-The numeric layer evaluates Born-rule outcome probabilities and
-post-recovery fidelities in floating point from the exact gates.  It
-imports numpy when first called, so the exact layer runs without it.
+The numeric layer is the package's one floating-point path, shared with
+`simulate`: `numeric_channel` caches a channel's gates (oracle or printed),
+effects G^T G and recoveries as floats; `born_weights` and `overlap` are
+the Born rule and the post-measurement fidelity.  It imports numpy when
+first called, so the exact layer runs without it.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from . import engine
+from . import engine, published
+from .basis import _frobenius
 from .exact import ExtScalar
 from .linalg import Operator3, PROVENANCE_RECOVERY
 
@@ -52,22 +55,12 @@ class CompletenessResult:
     is_identity: bool
 
 
-def _frobenius_sq(op: Operator3) -> ExtScalar:
-    acc = ExtScalar()
-    for r in range(3):
-        for c in range(3):
-            e = op.entry(r, c)
-            acc = acc + e * e
-    return acc
-
-
 def profile_gate(g: Operator3) -> GateProfile:
     gram = g.dagger() @ g
     frob = gram.trace()
     identity = Operator3.identity()
-    dev = _frobenius_sq(gram - identity)
-    scaled_target = identity.scaled(frob * Fraction(1, 3))
-    scaled_dev = _frobenius_sq(gram - scaled_target)
+    dev = gram - identity
+    scaled_dev = gram - identity.scaled(frob * Fraction(1, 3))
     rank = g.rank()
     if rank == 3 and scaled_dev.is_zero():
         classification = CLASS_PROP_UNITARY
@@ -79,19 +72,18 @@ def profile_gate(g: Operator3) -> GateProfile:
         channel=g.channel,
         outcome=g.outcome,
         frobenius_norm_sq=frob,
-        unitarity_deviation_sq=dev,
-        scaled_unitarity_deviation_sq=scaled_dev,
+        unitarity_deviation_sq=_frobenius(dev, dev),
+        scaled_unitarity_deviation_sq=_frobenius(scaled_dev, scaled_dev),
         rank=rank,
         classification=classification,
     )
 
 
-def completeness(i: int, gates: Optional[Sequence[Operator3]] = None) -> CompletenessResult:
+def completeness(i: int) -> CompletenessResult:
     """Exact sum_k G_k^T G_k for a channel, compared with the identity."""
-    if gates is None:
-        gates = [engine.derive_gate(i, k) for k in range(9)]
     total = Operator3.zero()
-    for g in gates:
+    for k in range(9):
+        g = engine.derive_gate(i, k)
         total = total + (g.dagger() @ g)
     return CompletenessResult(i, total, (total - Operator3.identity()).is_zero())
 
@@ -108,61 +100,6 @@ def channel_census(i: int) -> dict:
     for p in channel_profiles(i):
         counts[p.classification] += 1
     return counts
-
-
-# ---------------------------------------------------------------------------
-# Numeric layer.
-# ---------------------------------------------------------------------------
-
-
-def gate_matrix(g: Operator3) -> np.ndarray:
-    import numpy as np
-
-    return np.array(
-        [[float(g.entry(r, c)) for c in range(3)] for r in range(3)], dtype=float
-    )
-
-
-@lru_cache(maxsize=None)
-def oracle_gate_stack(i: int) -> np.ndarray:
-    """(9, 3, 3) float array of the channel's oracle gates."""
-    import numpy as np
-
-    return np.stack([gate_matrix(engine.derive_gate(i, k)) for k in range(9)])
-
-
-@lru_cache(maxsize=None)
-def oracle_effect_stack(i: int) -> np.ndarray:
-    """(9, 3, 3) float array of G^T G per outcome (Born-rule effects)."""
-    import numpy as np
-
-    gates = oracle_gate_stack(i)
-    return np.einsum("kji,kjl->kil", gates, gates)
-
-
-def as_state(phi: Sequence[complex]) -> np.ndarray:
-    import numpy as np
-
-    v = np.asarray(phi, dtype=complex).reshape(3)
-    norm = float(np.vdot(v, v).real)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(f"input state norm {norm} differs from 1 beyond {_NORM_TOL}")
-    return v
-
-
-def outcome_distribution(i: int, phi: Sequence[complex]) -> np.ndarray:
-    """Born probabilities over the nine outcomes for a normalized state."""
-    import numpy as np
-
-    v = as_state(phi)
-    p = np.einsum("i,kij,j->k", v.conj(), oracle_effect_stack(i), v).real
-    return np.clip(p, 0.0, None)
-
-
-def outcome_probability(i: int, k: int, phi: Sequence[complex]) -> float:
-    if not 0 <= k <= 8:
-        raise ValueError(f"outcome index {k} out of range 0..8")
-    return float(outcome_distribution(i, phi)[k])
 
 
 def _rational_cbrt(f: Fraction) -> Optional[Fraction]:
@@ -239,15 +176,90 @@ def recovery(g: Operator3) -> Optional[Operator3]:
     )
 
 
-@lru_cache(maxsize=None)
-def oracle_recovery(i: int, k: int) -> Optional[Operator3]:
-    return recovery(engine.derive_gate(i, k))
+# ---------------------------------------------------------------------------
+# Numeric layer.
+# ---------------------------------------------------------------------------
+
+
+class NumericChannel(NamedTuple):
+    """Float view of one channel's nine gates, indexed by outcome."""
+
+    gates: np.ndarray  # (9, 3, 3) gate matrices G_k
+    effects: np.ndarray  # (9, 3, 3) Born-rule effects G_k^T G_k
+    recoveries: tuple  # nine (3, 3) recovery matrices, None where G_k is singular
+
+
+def gate_matrix(g: Operator3) -> np.ndarray:
+    import numpy as np
+
+    return np.array(
+        [[float(g.entry(r, c)) for c in range(3)] for r in range(3)], dtype=float
+    )
 
 
 @lru_cache(maxsize=None)
-def oracle_recovery_matrix(i: int, k: int) -> Optional[np.ndarray]:
-    rec = oracle_recovery(i, k)
-    return None if rec is None else gate_matrix(rec)
+def numeric_channel(i: int, use_paper_gates: bool) -> NumericChannel:
+    """Channel i's oracle gates in floats, or its printed gates.
+
+    Pass `use_paper_gates` positionally: the cache keys on the arguments
+    as written, and every caller in the package spells them the same way.
+    """
+    import numpy as np
+
+    if use_paper_gates:
+        exact = [published.paper_gate(i, k).value for k in range(9)]
+    else:
+        exact = [engine.derive_gate(i, k) for k in range(9)]
+    gates = np.stack([gate_matrix(g) for g in exact])
+    effects = np.einsum("kji,kjl->kil", gates, gates)
+    recoveries = tuple(
+        None if rec is None else gate_matrix(rec) for rec in map(recovery, exact)
+    )
+    # every caller shares these arrays through the cache
+    for a in (gates, effects, *(r for r in recoveries if r is not None)):
+        a.flags.writeable = False
+    return NumericChannel(gates, effects, recoveries)
+
+
+def as_state(phi: Sequence[complex]) -> np.ndarray:
+    import numpy as np
+
+    v = np.asarray(phi, dtype=complex).reshape(3)
+    norm = float(np.vdot(v, v).real)
+    # written so that a NaN norm (from a NaN or infinite amplitude) fails too
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise ValueError(f"input state norm {norm} differs from 1 beyond {_NORM_TOL}")
+    return v
+
+
+def born_weights(effects: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Born weights <v|E_k|v>, clipped at zero; printed effects may not sum to I."""
+    import numpy as np
+
+    return np.clip(np.einsum("i,kij,j->k", v.conj(), effects, v).real, 0.0, None)
+
+
+def overlap(v: np.ndarray, gate: np.ndarray, rec: Optional[np.ndarray]) -> float:
+    """|<v|w>|^2 for w = G v normalized, then mapped back by `rec` if one is given."""
+    import numpy as np
+
+    w = gate @ v
+    w = w / np.linalg.norm(w)
+    if rec is not None:
+        w = rec @ w
+        w = w / np.linalg.norm(w)
+    return float(abs(np.vdot(v, w)) ** 2)
+
+
+def outcome_distribution(i: int, phi: Sequence[complex]) -> np.ndarray:
+    """Born probabilities over the nine outcomes for a normalized state."""
+    return born_weights(numeric_channel(i, False).effects, as_state(phi))
+
+
+def outcome_probability(i: int, k: int, phi: Sequence[complex]) -> float:
+    if not 0 <= k <= 8:
+        raise ValueError(f"outcome index {k} out of range 0..8")
+    return float(outcome_distribution(i, phi)[k])
 
 
 def fidelity_after_recovery(i: int, k: int, phi: Sequence[complex]) -> Optional[float]:
@@ -256,20 +268,13 @@ def fidelity_after_recovery(i: int, k: int, phi: Sequence[complex]) -> Optional[
     Raises ValueError when the outcome has zero probability for this input
     (the conditional state is undefined there).
     """
-    import numpy as np
-
-    v = as_state(phi)
     p = outcome_probability(i, k, phi)
     if p <= 1e-15:
         raise ValueError(f"outcome {k} has zero probability for this input state")
-    rec_matrix = oracle_recovery_matrix(i, k)
-    if rec_matrix is None:
+    gates, _, recoveries = numeric_channel(i, False)
+    if recoveries[k] is None:
         return None
-    post = oracle_gate_stack(i)[k] @ v
-    post = post / np.linalg.norm(post)
-    restored = rec_matrix @ post
-    restored = restored / np.linalg.norm(restored)
-    return float(abs(np.vdot(v, restored)) ** 2)
+    return overlap(as_state(phi), gates[k], recoveries[k])
 
 
 def expected_fidelities(i: int, phi: Sequence[complex]) -> dict:
@@ -280,26 +285,20 @@ def expected_fidelities(i: int, phi: Sequence[complex]) -> dict:
     construction); `all_outcomes` also scores singular outcomes by the
     overlap of the un-recovered conditional state with the input.
     """
-    import numpy as np
-
     v = as_state(phi)
-    p = outcome_distribution(i, phi)
+    gates, effects, recoveries = numeric_channel(i, False)
+    p = born_weights(effects, v)
     inv_weight = 0.0
     inv_acc = 0.0
     all_acc = 0.0
     for k in range(9):
         if p[k] <= 1e-15:
             continue
-        gate = engine.derive_gate(i, k)
-        fid = fidelity_after_recovery(i, k, phi)
-        if fid is not None:
+        fid = overlap(v, gates[k], recoveries[k])
+        all_acc += p[k] * fid
+        if recoveries[k] is not None:
             inv_weight += p[k]
             inv_acc += p[k] * fid
-            all_acc += p[k] * fid
-        else:
-            post = gate_matrix(gate) @ v
-            post = post / np.linalg.norm(post)
-            all_acc += p[k] * float(abs(np.vdot(v, post)) ** 2)
     return {
         "invertible_mass": inv_weight,
         "mean_fidelity_invertible": (inv_acc / inv_weight) if inv_weight > 0 else None,

@@ -663,8 +663,3 @@ def compare_tables() -> ErrataReport:
     for e in entries:
         summary[e.discrepancy] += 1
     return ErrataReport(tuple(entries), summary)
-
-
-def gate_table() -> dict:
-    """All 81 transcribed gates keyed by (channel, outcome)."""
-    return {key: entry.value for key, entry in _GATE_ENTRIES.items()}

@@ -6,7 +6,9 @@ the receiver (B), the joint measurement at A1+A2 selects one of nine
 outcomes by the Born rule, the outcome index travels over a classical
 channel, and the receiver applies the recovery map when one exists.  The
 event log records exactly that order, so recovery can never precede the
-classical message.
+classical message.  The gates, the Born rule and the fidelity come from
+the numeric layer of `analysis`; this module adds the randomness, the
+outcome search, the records and the batch summary.
 
 RNG contract (part of the interface, not an implementation detail): all
 randomness comes from NumPy's PCG64 bit generator.  A batch spawns one
@@ -22,12 +24,11 @@ Gaussian read as three complex amplitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import analysis, engine, published
+from . import analysis
 
 EVENT_SEQUENCE = ("prepare", "entangle", "joint_measure", "classical_send", "recover")
 
@@ -60,9 +61,6 @@ class TrialRecord:
     seed: int
     event_log: tuple
 
-    def replay_key(self) -> tuple:
-        return (self.channel, self.input_state, self.seed)
-
 
 @dataclass(frozen=True)
 class BatchSummary:
@@ -77,40 +75,6 @@ class BatchSummary:
     chi_square_flagged: bool
 
 
-@lru_cache(maxsize=None)
-def _effect_stack(channel: int, use_paper_gates: bool) -> np.ndarray:
-    if not use_paper_gates:
-        return analysis.oracle_effect_stack(channel)
-    gates = np.stack(
-        [
-            analysis.gate_matrix(published.paper_gate(channel, k).value)
-            for k in range(9)
-        ]
-    )
-    return np.einsum("kji,kjl->kil", gates, gates)
-
-
-@lru_cache(maxsize=None)
-def _numeric_gate_and_recovery(channel: int, outcome: int, use_paper_gates: bool):
-    gate = (
-        published.paper_gate(channel, outcome).value
-        if use_paper_gates
-        else engine.derive_gate(channel, outcome)
-    )
-    rec = analysis.recovery(gate)
-    return (
-        analysis.gate_matrix(gate),
-        None if rec is None else analysis.gate_matrix(rec),
-    )
-
-
-def _born_weights(channel: int, phi: np.ndarray, use_paper_gates: bool) -> np.ndarray:
-    p = np.einsum(
-        "i,kij,j->k", phi.conj(), _effect_stack(channel, use_paper_gates), phi
-    ).real
-    return np.clip(p, 0.0, None)
-
-
 def run_trial(
     channel: int,
     input_state: Sequence[complex],
@@ -121,8 +85,9 @@ def run_trial(
     if not 0 <= channel <= 8:
         raise ValueError(f"channel index {channel} out of range 0..8")
     phi = analysis.as_state(input_state)
+    gates, effects, recoveries = analysis.numeric_channel(channel, use_paper_gates)
 
-    weights = _born_weights(channel, phi, use_paper_gates)
+    weights = analysis.born_weights(effects, phi)
     total = float(weights.sum())
     # Oracle gates satisfy the completeness relation, so total is 1 up to
     # rounding; printed gates may violate it, hence the explicit division.
@@ -136,17 +101,9 @@ def run_trial(
     while outcome > 0 and probs[outcome] == 0.0:
         outcome -= 1
 
-    gate_num, rec_num = _numeric_gate_and_recovery(channel, outcome, use_paper_gates)
-    if rec_num is None:
-        fidelity = None
-        recovery_applied = False
-    else:
-        post = gate_num @ phi
-        post = post / np.linalg.norm(post)
-        restored = rec_num @ post
-        restored = restored / np.linalg.norm(restored)
-        fidelity = float(abs(np.vdot(phi, restored)) ** 2)
-        recovery_applied = True
+    rec = recoveries[outcome]
+    recovery_applied = rec is not None
+    fidelity = analysis.overlap(phi, gates[outcome], rec) if recovery_applied else None
 
     event_log = (
         ("prepare", "A1"),
@@ -233,13 +190,13 @@ def run_batch(
 def _expected_distribution(
     channel: int, fixed_phi: Optional[np.ndarray], haar: bool, use_paper_gates: bool
 ) -> np.ndarray:
+    effects = analysis.numeric_channel(channel, use_paper_gates).effects
     if haar:
         # Averaging the Born rule over the uniform state distribution
         # replaces |phi><phi| with I/3.
-        effects = _effect_stack(channel, use_paper_gates)
-        p = np.einsum("kii->k", effects).real / 3.0
+        p = effects.trace(axis1=1, axis2=2) / 3.0
     else:
-        p = _born_weights(channel, fixed_phi, use_paper_gates)
+        p = analysis.born_weights(effects, fixed_phi)
     return p / p.sum()
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qutrit_teleport import analysis, engine
+from qutrit_teleport import analysis, engine, published
 from qutrit_teleport.basis import entangled_state
 from qutrit_teleport.analysis import (
     CLASS_INVERTIBLE,
@@ -113,6 +113,44 @@ def test_probabilities_sum_to_one_for_random_states():
 def test_unnormalized_state_rejected():
     with pytest.raises(ValueError):
         outcome_distribution(0, (1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        (float("nan"), 0.0, 0.0),
+        (float("inf"), 0.0, 0.0),
+        (complex(1.0, float("nan")), 0.0, 0.0),
+        (float("nan"),) * 3,
+    ],
+    ids=["nan", "inf", "nan-imaginary", "all-nan"],
+)
+def test_non_finite_state_rejected(phi):
+    # a NaN norm compares False with any tolerance, so it must be caught
+    # explicitly rather than slip through a "norm too far from 1" test
+    with pytest.raises(ValueError):
+        outcome_distribution(0, phi)
+
+
+@pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
+def test_numeric_channel_is_the_float_view_of_the_exact_gates(use_paper_gates):
+    for i in range(9):
+        gates, effects, recoveries = analysis.numeric_channel(i, use_paper_gates)
+        assert gates.shape == effects.shape == (9, 3, 3)
+        assert not gates.flags.writeable and not effects.flags.writeable
+        for k in range(9):
+            exact = (
+                published.paper_gate(i, k).value
+                if use_paper_gates
+                else engine.derive_gate(i, k)
+            )
+            assert np.array_equal(gates[k], analysis.gate_matrix(exact))
+            assert np.allclose(effects[k], gates[k].T @ gates[k], atol=1e-15)
+            rec = recovery(exact)
+            if rec is None:
+                assert recoveries[k] is None
+            else:
+                assert np.array_equal(recoveries[k], analysis.gate_matrix(rec))
 
 
 def test_recovery_examples():

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, schemas, determinism, round-trips."""
 
 import json
+import warnings
 
 import jsonschema
 import pytest
@@ -145,6 +146,22 @@ def test_simulate_rejects_bad_state(capsys):
         ["simulate", "--channel", "0", "--trials", "5", "--state", "1,0,1,0,0,0"],
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "state",
+    ["nan,0,0,0,0,0", "1e400,0,0,0,0,0", "inf,0,0,0,0,0", "1,nan,0,0,0,0", "-inf,0,0,0,0,0"],
+)
+def test_simulate_rejects_non_finite_state(capsys, state):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            capsys, ["simulate", "--channel", "0", "--trials", "3", f"--state={state}"]
+        )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: input state norm ")
+    assert err.count("\n") == 1
 
 
 def test_usage_errors_exit_1(capsys):
@@ -298,3 +315,42 @@ def test_import_of_arbitrary_json_never_tracebacks(tmp_path, capsys, doc):
     assert code in (EXIT_USAGE, EXIT_VIOLATION)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+_NUMBER_TEXT = st.floats().map(repr) | st.sampled_from(
+    ["0", "1", "0.6", "0.8", "-0.8", "nan", "inf", "-inf", "1e400", "1e-400", "1_0"]
+)
+_STATE_TEXT = (
+    st.lists(_NUMBER_TEXT, min_size=6, max_size=6).map(",".join)
+    | st.lists(_NUMBER_TEXT | st.text(max_size=5), max_size=7).map(",".join)
+    | st.sampled_from(["1,0,0,0,0,0", "0.6,0,0,0.8,0,0", "0,0.6,0,0,0,-0.8"])
+    | st.text(max_size=20)
+)
+_CHANNEL_TEXT = st.integers(-2, 10).map(str) | st.text(max_size=4)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(state=_STATE_TEXT, channel=_CHANNEL_TEXT, use_paper_gates=st.booleans())
+def test_simulate_state_and_channel_strings_never_traceback(
+    capsys, state, channel, use_paper_gates
+):
+    argv = ["simulate", f"--channel={channel}", f"--state={state}", "--trials", "3"]
+    if use_paper_gates:
+        argv.append("--use-paper-gates")
+    # a numpy warning would be a second stderr line in a real process
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, argv)
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert err.count("\n") <= 1
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        json.loads(out, parse_constant=_reject_constant)
