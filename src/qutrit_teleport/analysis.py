@@ -256,9 +256,13 @@ def outcome_distribution(i: int, phi: Sequence[complex]) -> np.ndarray:
     return born_weights(numeric_channel(i, False).effects, as_state(phi))
 
 
-def outcome_probability(i: int, k: int, phi: Sequence[complex]) -> float:
+def _check_outcome(k: int) -> None:
     if not 0 <= k <= 8:
         raise ValueError(f"outcome index {k} out of range 0..8")
+
+
+def outcome_probability(i: int, k: int, phi: Sequence[complex]) -> float:
+    _check_outcome(k)
     return float(outcome_distribution(i, phi)[k])
 
 
@@ -268,13 +272,14 @@ def fidelity_after_recovery(i: int, k: int, phi: Sequence[complex]) -> Optional[
     Raises ValueError when the outcome has zero probability for this input
     (the conditional state is undefined there).
     """
-    p = outcome_probability(i, k, phi)
-    if p <= 1e-15:
+    _check_outcome(k)
+    v = as_state(phi)
+    gates, effects, recoveries = numeric_channel(i, False)
+    if born_weights(effects, v)[k] <= 1e-15:
         raise ValueError(f"outcome {k} has zero probability for this input state")
-    gates, _, recoveries = numeric_channel(i, False)
     if recoveries[k] is None:
         return None
-    return overlap(as_state(phi), gates[k], recoveries[k])
+    return overlap(v, gates[k], recoveries[k])
 
 
 def expected_fidelities(i: int, phi: Sequence[complex]) -> dict:

@@ -94,8 +94,11 @@ def _build_parser() -> _Parser:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

@@ -2,15 +2,13 @@
 
 Every amplitude and gate entry in this package lives in the degree-4
 extension Q(sqrt2, sqrt3) with basis {1, sqrt2, sqrt3, sqrt6}.  An element
-is stored as four exact rationals (q1, q2, q3, q6) meaning
-
-    q1 + q2*sqrt(2) + q3*sqrt(3) + q6*sqrt(6).
-
-Rationals are `fractions.Fraction`, so components are always in canonical
-form (gcd-reduced, positive denominator) and structural equality is
-semantic equality.  A rational element also equals, and hashes like, the
-int or Fraction it embeds, so ``ExtScalar(1) == 1``.  All operations are
-pure; instances are immutable and hashable.
+is stored as four int numerators over one int denominator,
+(n1 + n2*sqrt(2) + n3*sqrt(3) + n6*sqrt(6)) / d, in canonical form:
+gcd(n1, n2, n3, n6, d) == 1 and d > 0 (zero is (0, 0, 0, 0, 1)), so
+structural equality is semantic equality.  Its components q1 = n1/d, ...,
+q6 = n6/d read as `fractions.Fraction`s.  A rational element equals, and
+hashes like, the int or Fraction it embeds, so ``ExtScalar(1) == 1``.
+All operations are pure; instances are immutable and hashable.
 
 The common printed coefficients map to single components, e.g.
 1/sqrt(6) == sqrt(6)/6 is stored as q6 = 1/6, and 1/(2*sqrt(3)) ==
@@ -20,69 +18,91 @@ sqrt(3)/6 as q3 = 1/6.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-RationalLike = Union[int, Fraction]
+from math import gcd, lcm
 
 _SQRT2_F = 1.4142135623730951
 _SQRT3_F = 1.7320508075688772
 _SQRT6_F = 2.449489742783178
 
 _RATIONAL_RE = re.compile(r"^-?\d+/0*[1-9]\d*$")
+_KEYS = ("q1", "q2", "q3", "q6")
 
 
-def _frac(x: RationalLike) -> Fraction:
+def _ratio(x: int | Fraction) -> tuple:
+    """(numerator, denominator) of an int or Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
+def _raw(n: tuple) -> "ExtScalar":
+    """An element from a (n1, n2, n3, n6, d) tuple already in canonical form."""
+    x = object.__new__(ExtScalar)
+    object.__setattr__(x, "_n", n)
+    return x
+
+
+def _reduced(n1: int, n2: int, n3: int, n6: int, d: int) -> "ExtScalar":
+    """An element from numerators over a positive denominator, in lowest terms."""
+    g = gcd(n1, n2, n3, n6, d)
+    if g == 1:
+        return _raw((n1, n2, n3, n6, d))
+    return _raw((n1 // g, n2 // g, n3 // g, n6 // g, d // g))
+
+
 class ExtScalar:
     """q1 + q2*sqrt2 + q3*sqrt3 + q6*sqrt6 with exact rational components."""
 
-    q1: Fraction = Fraction(0)
-    q2: Fraction = Fraction(0)
-    q3: Fraction = Fraction(0)
-    q6: Fraction = Fraction(0)
+    __slots__ = ("_n",)
 
-    def __post_init__(self) -> None:
-        for name in ("q1", "q2", "q3", "q6"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+    def __init__(self, q1=0, q2=0, q3=0, q6=0) -> None:
+        parts = [_ratio(q) for q in (q1, q2, q3, q6)]
+        d = lcm(*(den for _, den in parts))
+        numerators = (num * (d // den) for num, den in parts)
+        object.__setattr__(self, "_n", _reduced(*numerators, d)._n)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}: ExtScalar is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _raw, (self._n,)
+
+    q1 = property(lambda self: Fraction(self._n[0], self._n[4]))
+    q2 = property(lambda self: Fraction(self._n[1], self._n[4]))
+    q3 = property(lambda self: Fraction(self._n[2], self._n[4]))
+    q6 = property(lambda self: Fraction(self._n[3], self._n[4]))
+
+    def _fractions(self) -> tuple:
+        return tuple(Fraction(n, self._n[4]) for n in self._n[:4])
 
     # -- equality --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExtScalar):
-            return (
-                self.q1 == other.q1
-                and self.q2 == other.q2
-                and self.q3 == other.q3
-                and self.q6 == other.q6
-            )
+            return self._n == other._n
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.q1 == other
+            return self.is_rational() and _ratio(other) == (self._n[0], self._n[4])
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.is_rational():
-            return hash(self.q1)
-        return hash((self.q1, self.q2, self.q3, self.q6))
+        return hash(self.q1) if self.is_rational() else hash(self._fractions())
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "ExtScalar") -> "ExtScalar":
         if not isinstance(other, ExtScalar):
             return NotImplemented
-        return ExtScalar(
-            self.q1 + other.q1,
-            self.q2 + other.q2,
-            self.q3 + other.q3,
-            self.q6 + other.q6,
+        a1, a2, a3, a6, da = self._n
+        b1, b2, b3, b6, db = other._n
+        if da == db:
+            return _reduced(a1 + b1, a2 + b2, a3 + b3, a6 + b6, da)
+        return _reduced(
+            a1 * db + b1 * da, a2 * db + b2 * da, a3 * db + b3 * da, a6 * db + b6 * da, da * db
         )
 
     def __sub__(self, other: "ExtScalar") -> "ExtScalar":
@@ -91,32 +111,35 @@ class ExtScalar:
         return self + (-other)
 
     def __neg__(self) -> "ExtScalar":
-        return ExtScalar(-self.q1, -self.q2, -self.q3, -self.q6)
+        n1, n2, n3, n6, d = self._n
+        return _raw((-n1, -n2, -n3, -n6, d))
 
-    def __mul__(self, other: Union["ExtScalar", RationalLike]) -> "ExtScalar":
-        if isinstance(other, (int, Fraction)):
-            r = _frac(other)
-            return ExtScalar(self.q1 * r, self.q2 * r, self.q3 * r, self.q6 * r)
-        if not isinstance(other, ExtScalar):
+    def __mul__(self, other: ExtScalar | int | Fraction) -> "ExtScalar":
+        a1, a2, a3, a6, da = self._n
+        if isinstance(other, ExtScalar):
+            b1, b2, b3, b6, db = other._n
+        elif isinstance(other, (int, Fraction)):
+            p, q = _ratio(other)
+            return _reduced(a1 * p, a2 * p, a3 * p, a6 * p, da * q)
+        else:
             return NotImplemented
-        a1, a2, a3, a6 = self.q1, self.q2, self.q3, self.q6
-        b1, b2, b3, b6 = other.q1, other.q2, other.q3, other.q6
         # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
-        return ExtScalar(
+        return _reduced(
             a1 * b1 + 2 * a2 * b2 + 3 * a3 * b3 + 6 * a6 * b6,
             a1 * b2 + a2 * b1 + 3 * (a3 * b6 + a6 * b3),
             a1 * b3 + a3 * b1 + 2 * (a2 * b6 + a6 * b2),
             a1 * b6 + a6 * b1 + a2 * b3 + a3 * b2,
+            da * db,
         )
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["ExtScalar", RationalLike]) -> "ExtScalar":
+    def __truediv__(self, other: ExtScalar | int | Fraction) -> "ExtScalar":
         if isinstance(other, (int, Fraction)):
-            r = _frac(other)
-            if r == 0:
+            p, q = _ratio(other)
+            if p == 0:
                 raise ZeroDivisionError("division by zero rational")
-            return self * (1 / r)
+            return self * Fraction(q, p)
         if not isinstance(other, ExtScalar):
             return NotImplemented
         return self * other.inverse()
@@ -130,9 +153,10 @@ class ExtScalar:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero ExtScalar")
-        c2 = ExtScalar(self.q1, -self.q2, self.q3, -self.q6)
-        c3 = ExtScalar(self.q1, self.q2, -self.q3, -self.q6)
-        c23 = ExtScalar(self.q1, -self.q2, -self.q3, self.q6)
+        n1, n2, n3, n6, d = self._n
+        c2 = _raw((n1, -n2, n3, -n6, d))
+        c3 = _raw((n1, n2, -n3, -n6, d))
+        c23 = _raw((n1, -n2, -n3, n6, d))
         numer = c2 * c3 * c23
         norm = self * numer
         if not norm.is_rational():
@@ -142,45 +166,26 @@ class ExtScalar:
     # -- predicates and conversions ---------------------------------------
 
     def is_zero(self) -> bool:
-        return self.q1 == 0 and self.q2 == 0 and self.q3 == 0 and self.q6 == 0
+        return self._n == (0, 0, 0, 0, 1)
 
     def is_rational(self) -> bool:
-        return self.q2 == 0 and self.q3 == 0 and self.q6 == 0
+        return not (self._n[1] or self._n[2] or self._n[3])
 
     def __float__(self) -> float:
-        return (
-            float(self.q1)
-            + float(self.q2) * _SQRT2_F
-            + float(self.q3) * _SQRT3_F
-            + float(self.q6) * _SQRT6_F
-        )
+        n1, n2, n3, n6, d = self._n
+        # int true division is correctly rounded, like float(Fraction(n, d))
+        return n1 / d + n2 / d * _SQRT2_F + n3 / d * _SQRT3_F + n6 / d * _SQRT6_F
 
     def __str__(self) -> str:
-        parts = []
-        for coeff, surd in (
-            (self.q1, ""),
-            (self.q2, "√2"),
-            (self.q3, "√3"),
-            (self.q6, "√6"),
-        ):
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            if surd and mag == 1:
-                body = surd
-            elif surd:
-                body = f"{mag}·{surd}"
-            else:
-                body = f"{mag}"
-            parts.append((sign, body))
-        if not parts:
+        text = ""
+        for coeff, surd in zip(self._fractions(), ("", "√2", "√3", "√6")):
+            if coeff:
+                mag = abs(coeff)
+                body = surd if surd and mag == 1 else f"{mag}·{surd}" if surd else f"{mag}"
+                text += f" {'-' if coeff < 0 else '+'} {body}"
+        if not text:
             return "0"
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"ExtScalar({self})"
@@ -189,26 +194,17 @@ class ExtScalar:
 
     def to_json_obj(self) -> dict:
         """Canonical JSON object: four "p/q" strings."""
-        return {
-            "q1": _frac_str(self.q1),
-            "q2": _frac_str(self.q2),
-            "q3": _frac_str(self.q3),
-            "q6": _frac_str(self.q6),
-        }
+        return {k: f"{q.numerator}/{q.denominator}" for k, q in zip(_KEYS, self._fractions())}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExtScalar":
         comps = []
-        for key in ("q1", "q2", "q3", "q6"):
+        for key in _KEYS:
             raw = obj[key]
             if not isinstance(raw, str) or not _RATIONAL_RE.match(raw):
                 raise ValueError(f"malformed rational literal for {key}: {raw!r}")
             comps.append(Fraction(raw))
         return cls(*comps)
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def rational(p: int, q: int = 1) -> ExtScalar:

@@ -190,6 +190,26 @@ def test_fidelity_zero_probability_outcome_rejected():
         fidelity_after_recovery(0, 3, (1, 0, 0))
 
 
+def test_fidelity_is_the_shared_overlap_with_recovery():
+    phi = (0.6, 0.48j, 0.64)
+    v = analysis.as_state(phi)
+    for i in range(9):
+        gates, effects, recoveries = analysis.numeric_channel(i, False)
+        for k in np.flatnonzero(analysis.born_weights(effects, v) > 1e-15):
+            expected = None
+            if recoveries[k] is not None:
+                expected = analysis.overlap(v, gates[k], recoveries[k])
+            assert fidelity_after_recovery(i, int(k), phi) == expected
+
+
+def test_fidelity_validates_its_state_once(monkeypatch):
+    calls = []
+    as_state = analysis.as_state
+    monkeypatch.setattr(analysis, "as_state", lambda phi: calls.append(phi) or as_state(phi))
+    fidelity_after_recovery(0, 0, (1, 0, 0))
+    assert len(calls) == 1
+
+
 def test_expected_fidelities_reports_both_figures():
     out = analysis.expected_fidelities(0, (1, 0, 0))
     assert out["mean_fidelity_invertible"] == pytest.approx(1.0, abs=1e-12)

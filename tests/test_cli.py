@@ -289,6 +289,21 @@ def test_import_unreadable_path_is_a_usage_error(tmp_path, capsys, name):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [["export"], ["verify"], ["simulate", "--channel", "0", "--trials", "3", "--haar"]],
+    ids=["export", "verify", "simulate"],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, name):
+    path = str(tmp_path / name)
+    code, out, err = run_cli(capsys, [*argv, "--out", path])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"usage error: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
     lambda children: st.lists(children, max_size=4)

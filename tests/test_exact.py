@@ -1,6 +1,8 @@
 """Field arithmetic over Q(sqrt2, sqrt3)."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -195,3 +197,148 @@ def test_subtraction_inverts_addition(a, b):
 @given(_scalars, _scalars, _scalars)
 def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+class _FractionScalar:
+    """The four-Fraction arithmetic the integer form replaced, kept as a test oracle."""
+
+    def __init__(self, *q):
+        self.q = tuple(Fraction(x) for x in q)
+
+    def __add__(self, other):
+        return _FractionScalar(*(a + b for a, b in zip(self.q, other.q)))
+
+    def __neg__(self):
+        return _FractionScalar(*(-a for a in self.q))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _FractionScalar(*(a * other for a in self.q))
+        (a1, a2, a3, a6), (b1, b2, b3, b6) = self.q, other.q
+        return _FractionScalar(
+            a1 * b1 + 2 * a2 * b2 + 3 * a3 * b3 + 6 * a6 * b6,
+            a1 * b2 + a2 * b1 + 3 * (a3 * b6 + a6 * b3),
+            a1 * b3 + a3 * b1 + 2 * (a2 * b6 + a6 * b2),
+            a1 * b6 + a6 * b1 + a2 * b3 + a3 * b2,
+        )
+
+    def inverse(self):
+        q1, q2, q3, q6 = self.q
+        numer = (
+            _FractionScalar(q1, -q2, q3, -q6)
+            * _FractionScalar(q1, q2, -q3, -q6)
+            * _FractionScalar(q1, -q2, -q3, q6)
+        )
+        return numer * (1 / (self * numer).q[0])
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return self * other.inverse()
+
+    def __float__(self):
+        q1, q2, q3, q6 = map(float, self.q)
+        return q1 + q2 * 1.4142135623730951 + q3 * 1.7320508075688772 + q6 * 2.449489742783178
+
+    def __hash__(self):
+        return hash(self.q[0]) if not any(self.q[1:]) else hash(self.q)
+
+    def __str__(self):
+        parts = []
+        for coeff, surd in zip(self.q, ("", "√2", "√3", "√6")):
+            if coeff != 0:
+                mag = abs(coeff)
+                body = surd if surd and mag == 1 else (f"{mag}·{surd}" if surd else f"{mag}")
+                parts.append(("-" if coeff < 0 else "+", body))
+        if not parts:
+            return "0"
+        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        return out + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+    def to_json_obj(self):
+        keys = ("q1", "q2", "q3", "q6")
+        return {k: f"{q.numerator}/{q.denominator}" for k, q in zip(keys, self.q)}
+
+
+def _assert_matches(x, ref):
+    n1, n2, n3, n6, d = x._n
+    assert d > 0 and math.gcd(n1, n2, n3, n6, d) == 1  # canonical form
+    assert (x.q1, x.q2, x.q3, x.q6) == ref.q
+    assert all(type(q) is Fraction for q in (x.q1, x.q2, x.q3, x.q6))
+    assert str(x) == str(ref)
+    assert x.to_json_obj() == ref.to_json_obj()
+    assert float(x) == float(ref)  # bit for bit
+    assert hash(x) == hash(ref)
+
+
+_HUGE = 2**80
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    _small,
+    st.builds(Fraction, st.integers(-_HUGE, _HUGE), st.integers(1, _HUGE)),
+)
+_operands = st.one_of(st.integers(-_HUGE, _HUGE), _rationals)
+_zero4 = (Fraction(0),) * 4
+_components = st.one_of(
+    st.just(_zero4),
+    st.builds(lambda r: (r, *_zero4[1:]), _rationals),
+    st.builds(
+        lambda r, i: tuple(r if j == i else Fraction(0) for j in range(4)),
+        _rationals,
+        st.integers(0, 3),
+    ),
+    st.tuples(_rationals, _rationals, _rationals, _rationals),
+)
+
+
+@given(_components, _components, _operands)
+def test_integer_form_matches_the_fraction_reference(qa, qb, r):
+    a, b = ExtScalar(*qa), ExtScalar(*qb)
+    ra, rb = _FractionScalar(*qa), _FractionScalar(*qb)
+    pairs = [
+        (a, ra),
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (a * b, ra * rb),
+        (-a, -ra),
+        (a * r, ra * r),
+        (r * a, ra * r),
+    ]
+    if r != 0:
+        pairs.append((a / r, ra / r))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / r
+    if any(qb):
+        pairs += [(b.inverse(), rb.inverse()), (a / b, ra / rb)]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    for x, ref in pairs:
+        _assert_matches(x, ref)
+    assert (a == b) == (b == a) == (ra.q == rb.q)
+    assert (a == r) == (r == a) == (ra.q == (r, 0, 0, 0))
+    assert (a != r) == (r != a) == (ra.q != (r, 0, 0, 0))
+
+
+def test_constructor_accepts_only_ints_and_fractions():
+    for bad in (1.0, "1", None, 1j):
+        with pytest.raises(TypeError):
+            ExtScalar(bad)
+        with pytest.raises(TypeError):
+            ExtScalar(q6=bad)
+    assert ExtScalar(2, Fraction(1, 2)) == ExtScalar(Fraction(2), Fraction(2, 4))
+
+
+def test_instances_are_immutable():
+    x = ExtScalar(1, 2, 3, 6)
+    for name in ("q1", "q6", "_n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, Fraction(5))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == ExtScalar(1, 2, 3, 6)
+    assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
