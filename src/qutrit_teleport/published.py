@@ -5,8 +5,9 @@ the source text prints is frozen here as data, keyed by (channel, outcome)
 or (a2, b) and carrying its printed label verbatim, including label
 anomalies (a lowercase gate label, hatted labels, swapped channel/outcome
 indices) and bracket defects.  Nothing in this module is computed from the
-printed values; `compare_tables` subtracts each transcription from the
-independently derived oracle value and classifies the difference.
+printed values.  Each takes one path: its source row becomes a `PaperEntry`
+at import, and `compare_tables` classifies it against the independently
+derived oracle value on one discrepancy ladder into an `ErrataEntry`.
 
 Transcription conventions, applied uniformly and recorded in entry notes:
 
@@ -25,6 +26,7 @@ Transcription conventions, applied uniformly and recorded in entry notes:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -38,7 +40,6 @@ from .exact import (
     SQRT2,
     ExtScalar,
     ONE,
-    ZERO,
     rational,
 )
 from .linalg import PROVENANCE_PAPER, Operator3
@@ -84,25 +85,6 @@ class PaperEntry:
     value: object
     printed_label: str
     notes: str = ""
-
-
-def _printed_ket(scale: ExtScalar, terms, channel: int, outcome: int) -> Operator3:
-    """Coefficient grid of a printed receiver state from (amp_index,
-    ket_index, weight) terms: row ket_index, column amp_index."""
-    return Operator3.from_terms(
-        scale,
-        ((b, j, weight) for j, b, weight in terms),
-        provenance=PROVENANCE_PAPER,
-        channel=channel,
-        outcome=outcome,
-    )
-
-
-def _printed_gate(scale: ExtScalar, terms, channel: int, outcome: int) -> Operator3:
-    """Build a gate matrix from (row, col, weight) ket-bra terms."""
-    return Operator3.from_terms(
-        scale, terms, provenance=PROVENANCE_PAPER, channel=channel, outcome=outcome
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,102 +370,84 @@ _ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
 _EQ_LETTERS = "abcdefghi"
 
 
-def _location(channel: int, outcome: int, kind: str, label: str) -> str:
-    if channel == 0:
-        eq = "10" if kind == KIND_PREMEASURE else "11"
-        return f"Eq. ({eq}{_EQ_LETTERS[outcome]})"
-    return f"Appendix ({_ROMAN[channel - 1]}), {label}"
-
-
-def _build_premeasure_entries() -> dict:
+def _grid_entries(kind: str, source: dict, cell, equation: str) -> dict:
+    """Entries of a printed grid table, keyed (channel, list position); `cell`
+    places a term as (row, col, weight), and channel 0 is Eq. (<equation>a..i)."""
     entries = {}
-    for channel, rows in _PREMEASURE_SRC.items():
+    for channel, rows in source.items():
         for outcome, (label, scale, terms, notes) in enumerate(rows):
-            entries[(channel, outcome)] = PaperEntry(
-                location=_location(channel, outcome, KIND_PREMEASURE, label),
+            if channel == 0:
+                location = f"Eq. ({equation}{_EQ_LETTERS[outcome]})"
+            else:
+                location = f"Appendix ({_ROMAN[channel - 1]}), {label}"
+            grid = Operator3.from_terms(
+                scale,
+                (cell(*term) for term in terms),
+                provenance=PROVENANCE_PAPER,
                 channel=channel,
                 outcome=outcome,
-                kind=KIND_PREMEASURE,
-                value=_printed_ket(scale, terms, channel, outcome),
-                printed_label=label,
-                notes=notes,
+            )
+            entries[(channel, outcome)] = PaperEntry(
+                location, channel, outcome, kind, grid, label, notes
             )
     return entries
 
 
-def _build_gate_entries() -> dict:
+def _expansion_entries() -> dict:
     entries = {}
-    for channel, rows in _GATE_SRC.items():
-        for outcome, (label, scale, terms, notes) in enumerate(rows):
-            entries[(channel, outcome)] = PaperEntry(
-                location=_location(channel, outcome, KIND_GATE, label),
-                channel=channel,
-                outcome=outcome,
-                kind=KIND_GATE,
-                value=_printed_gate(scale, terms, channel, outcome),
-                printed_label=label,
-                notes=notes,
-            )
-    return entries
-
-
-def _build_expansion_entries() -> dict:
-    entries = {}
-    for (a2, b), (location, scale, terms) in _EXPANSION_SRC.items():
-        coeffs = [ZERO] * 9
-        for index, weight in terms:
-            coeffs[index] = scale * weight
+    for (a2, b), (location, scale, terms) in sorted(_EXPANSION_SRC.items()):
+        weights = dict(terms)
+        row = ExpansionRow(a2, b, tuple(scale * weights.get(i, 0) for i in range(9)))
         entries[(a2, b)] = PaperEntry(
-            location=location,
-            channel=None,
-            outcome=None,
-            kind=KIND_EXPANSION,
-            value=ExpansionRow(a2, b, tuple(coeffs)),
+            location, channel=None, outcome=None, kind=KIND_EXPANSION, value=row,
             printed_label=f"|{a2}⟩|{b}⟩",
-            notes="",
         )
     return entries
 
 
-_PREMEASURE_ENTRIES = _build_premeasure_entries()
-_GATE_ENTRIES = _build_gate_entries()
-_EXPANSION_ENTRIES = _build_expansion_entries()
+# Every transcribed value by kind, each table in index order.  A printed
+# pre-measurement term (amplitude j, ket b, weight) sits at grid row b,
+# column j; a printed gate term is already (row, col, weight).
+_ENTRIES = {
+    KIND_EXPANSION: _expansion_entries(),
+    KIND_PREMEASURE: _grid_entries(
+        KIND_PREMEASURE, _PREMEASURE_SRC, lambda j, b, w: (b, j, w), "10"
+    ),
+    KIND_GATE: _grid_entries(KIND_GATE, _GATE_SRC, lambda r, c, w: (r, c, w), "11"),
+}
+
+_ANOMALIES = tuple(
+    PaperEntry(
+        location, channel=None, outcome=None, kind=KIND_LABEL, value=None,
+        printed_label=label, notes=notes,
+    )
+    for location, label, notes in _DOCUMENT_ANOMALIES
+)
+
+
+def _lookup(kind: str, key: tuple, missing: str) -> PaperEntry:
+    try:
+        return _ENTRIES[kind][key]
+    except KeyError:
+        raise KeyError("no printed " + missing.format(*key))
 
 
 def paper_premeasure(i: int, k: int) -> PaperEntry:
-    try:
-        return _PREMEASURE_ENTRIES[(i, k)]
-    except KeyError:
-        raise KeyError(f"no printed pre-measurement state for channel {i}, outcome {k}")
+    return _lookup(
+        KIND_PREMEASURE, (i, k), "pre-measurement state for channel {}, outcome {}"
+    )
 
 
 def paper_gate(i: int, k: int) -> PaperEntry:
-    try:
-        return _GATE_ENTRIES[(i, k)]
-    except KeyError:
-        raise KeyError(f"no printed gate for channel {i}, outcome {k}")
+    return _lookup(KIND_GATE, (i, k), "gate for channel {}, outcome {}")
 
 
 def paper_expansion(a2: int, b: int) -> PaperEntry:
-    try:
-        return _EXPANSION_ENTRIES[(a2, b)]
-    except KeyError:
-        raise KeyError(f"no printed expansion row for |{a2}>|{b}>")
+    return _lookup(KIND_EXPANSION, (a2, b), "expansion row for |{}>|{}>")
 
 
 def document_anomalies() -> tuple:
-    return tuple(
-        PaperEntry(
-            location=loc,
-            channel=None,
-            outcome=None,
-            kind=KIND_LABEL,
-            value=None,
-            printed_label=label,
-            notes=notes,
-        )
-        for loc, label, notes in _DOCUMENT_ANOMALIES
-    )
+    return _ANOMALIES
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +481,17 @@ class ErrataReport:
         )
 
 
-_PERMUTATIONS = (
-    (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-)
-
-
-def _vec_support(values) -> frozenset:
-    return frozenset(i for i, v in enumerate(values) if not v.is_zero())
-
-
-def _classify_support(paper_support, oracle_support) -> str:
+def _classify(paper: tuple, oracle: tuple, support, swapped=None) -> str:
+    """The discrepancy ladder over two flat tuples of exact scalars; `==` is
+    exact because `ExtScalar` is canonical.  `swapped` is the kind's index-swap
+    test, if it has one, and `support` gives the nonzero positions that count."""
+    if paper == oracle:
+        return MATCH
+    if paper == tuple(-x for x in oracle):
+        return SIGN
+    if swapped is not None and swapped():
+        return INDEX_SWAP
+    paper_support, oracle_support = support(paper), support(oracle)
     if paper_support < oracle_support:
         return MISSING_TERM
     if oracle_support < paper_support:
@@ -534,53 +499,45 @@ def _classify_support(paper_support, oracle_support) -> str:
     return COEFFICIENT
 
 
+def _flat(grid: Operator3) -> tuple:
+    return tuple(e for row in grid.rows for e in row)
+
+
+def _support(values: tuple) -> frozenset:
+    return frozenset(i for i, v in enumerate(values) if not v.is_zero())
+
+
+def _row_support(values: tuple) -> frozenset:
+    return frozenset(i // 3 for i in _support(values))
+
+
 def classify_ket(paper: Operator3, oracle: Operator3) -> str:
-    """Classify a printed pre-measurement state against the oracle's.
-
-    Both are coefficient grids (row b = the amplitude on |b>).  A row
-    permutation is an index swap and the support is the set of nonzero
-    rows, unlike `classify_gate`, which compares single entries.
-    """
-    if (paper - oracle).is_zero():
-        return MATCH
-    if (paper + oracle).is_zero():
-        return SIGN
-    for perm in _PERMUTATIONS[1:]:
-        if all(paper.rows[perm[b]] == oracle.rows[b] for b in range(3)):
-            return INDEX_SWAP
-    return _classify_support(_row_support(paper), _row_support(oracle))
-
-
-def _row_support(grid: Operator3) -> frozenset:
-    return frozenset(
-        b for b in range(3) if not all(e.is_zero() for e in grid.rows[b])
+    """Grids with row b = the amplitude on |b>: a row permutation is an index
+    swap, and the support is the nonzero rows."""
+    return _classify(
+        _flat(paper),
+        _flat(oracle),
+        _row_support,
+        lambda: Counter(paper.rows) == Counter(oracle.rows),
     )
 
 
 def classify_gate(paper: Operator3, oracle: Operator3) -> str:
-    if (paper - oracle).is_zero():
-        return MATCH
-    if (paper + oracle).is_zero():
-        return SIGN
-    if paper == oracle.dagger():
-        return INDEX_SWAP
-    paper_support = frozenset(
-        (r, c) for r in range(3) for c in range(3) if not paper.entry(r, c).is_zero()
+    """A transpose is an index swap; the support is the nonzero entries."""
+    return _classify(
+        _flat(paper), _flat(oracle), _support, lambda: paper == oracle.dagger()
     )
-    oracle_support = frozenset(
-        (r, c) for r in range(3) for c in range(3) if not oracle.entry(r, c).is_zero()
-    )
-    return _classify_support(paper_support, oracle_support)
 
 
 def classify_expansion(paper: ExpansionRow, oracle: ExpansionRow) -> str:
-    diff = [p - o for p, o in zip(paper.coefficients, oracle.coefficients)]
-    if all(d.is_zero() for d in diff):
-        return MATCH
-    if all((p + o).is_zero() for p, o in zip(paper.coefficients, oracle.coefficients)):
-        return SIGN
-    return _classify_support(
-        _vec_support(paper.coefficients), _vec_support(oracle.coefficients)
+    """No index swap; the support is the nonzero coefficients."""
+    return _classify(paper.coefficients, oracle.coefficients, _support)
+
+
+def _errata(entry: PaperEntry, discrepancy: str, oracle=None) -> ErrataEntry:
+    return ErrataEntry(
+        entry.location, entry.kind, entry.channel, entry.outcome, entry.printed_label,
+        discrepancy, entry.notes, paper_value=entry.value, oracle_value=oracle,
     )
 
 
@@ -591,73 +548,15 @@ def compare_tables() -> ErrataReport:
     states, then gates (each in index order), then document anomalies.
     """
     entries = []
-
-    for a2 in range(3):
-        for b in range(3):
-            entry = paper_expansion(a2, b)
-            oracle_row = expand_product(a2, b)
-            entries.append(
-                ErrataEntry(
-                    location=entry.location,
-                    kind=KIND_EXPANSION,
-                    channel=None,
-                    outcome=None,
-                    printed_label=entry.printed_label,
-                    discrepancy=classify_expansion(entry.value, oracle_row),
-                    notes=entry.notes,
-                    paper_value=entry.value,
-                    oracle_value=oracle_row,
-                )
-            )
-
-    for i in range(9):
-        for k in range(9):
-            entry = paper_premeasure(i, k)
-            oracle_state = engine.derive_gate(i, k)
-            entries.append(
-                ErrataEntry(
-                    location=entry.location,
-                    kind=KIND_PREMEASURE,
-                    channel=i,
-                    outcome=k,
-                    printed_label=entry.printed_label,
-                    discrepancy=classify_ket(entry.value, oracle_state),
-                    notes=entry.notes,
-                    paper_value=entry.value,
-                    oracle_value=oracle_state,
-                )
-            )
-
-    for i in range(9):
-        for k in range(9):
-            entry = paper_gate(i, k)
-            oracle_gate = engine.derive_gate(i, k)
-            entries.append(
-                ErrataEntry(
-                    location=entry.location,
-                    kind=KIND_GATE,
-                    channel=i,
-                    outcome=k,
-                    printed_label=entry.printed_label,
-                    discrepancy=classify_gate(entry.value, oracle_gate),
-                    notes=entry.notes,
-                    paper_value=entry.value,
-                    oracle_value=oracle_gate,
-                )
-            )
-
-    for anomaly in document_anomalies():
-        entries.append(
-            ErrataEntry(
-                location=anomaly.location,
-                kind=KIND_LABEL,
-                channel=None,
-                outcome=None,
-                printed_label=anomaly.printed_label,
-                discrepancy=LABEL_ANOMALY,
-                notes=anomaly.notes,
-            )
-        )
+    for kind, oracle_of, classify in (
+        (KIND_EXPANSION, expand_product, classify_expansion),
+        (KIND_PREMEASURE, engine.derive_gate, classify_ket),
+        (KIND_GATE, engine.derive_gate, classify_gate),
+    ):
+        for key, entry in _ENTRIES[kind].items():
+            oracle = oracle_of(*key)
+            entries.append(_errata(entry, classify(entry.value, oracle), oracle))
+    entries.extend(_errata(anomaly, LABEL_ANOMALY) for anomaly in _ANOMALIES)
 
     summary = {name: 0 for name in DISCREPANCY_CLASSES}
     for e in entries:

@@ -27,10 +27,6 @@ def channel_name(i: int, roman: bool = False) -> str:
 # -- scalars -------------------------------------------------------------------
 
 
-def scalar_text(x: ExtScalar) -> str:
-    return str(x)
-
-
 def _frac_latex(f: Fraction) -> str:
     sign = "-" if f < 0 else ""
     mag = abs(f)
@@ -64,7 +60,7 @@ def scalar_latex(x: ExtScalar) -> str:
 
 def entangled_state_text(amps) -> str:
     terms = [
-        f"({scalar_text(amp)})|{flat // 3}⟩|{flat % 3}⟩"
+        f"({amp})|{flat // 3}⟩|{flat % 3}⟩"
         for flat, amp in enumerate(amps)
         if not amp.is_zero()
     ]
@@ -103,10 +99,10 @@ def premeasure_latex(grid: Operator3) -> str:
 
 
 def gate_text(g: Operator3) -> str:
-    width = max(len(scalar_text(g.entry(r, c))) for r in range(3) for c in range(3))
+    width = max(len(str(g.entry(r, c))) for r in range(3) for c in range(3))
     lines = []
     for r in range(3):
-        cells = ", ".join(f"{scalar_text(g.entry(r, c)):>{width}}" for c in range(3))
+        cells = ", ".join(f"{g.entry(r, c)!s:>{width}}" for c in range(3))
         lines.append(f"  [ {cells} ]")
     return "\n".join(lines)
 
@@ -130,14 +126,14 @@ def basis_text() -> str:
     lines.append("")
     lines.append("Gram matrix <Psi_a|Psi_b>:")
     for row in gram_matrix():
-        lines.append("  [" + ", ".join(scalar_text(x) for x in row) + "]")
+        lines.append("  [" + ", ".join(str(x) for x in row) + "]")
     lines.append("")
     lines.append("Inversion rows |a2>|b> = sum_i coeff_i |Psi_i>:")
     for a2 in range(3):
         for b in range(3):
             row = expand_product(a2, b)
             terms = [
-                f"({scalar_text(c)})Psi_{i}"
+                f"({c})Psi_{i}"
                 for i, c in enumerate(row.coefficients)
                 if not c.is_zero()
             ]
@@ -296,9 +292,9 @@ def analysis_markdown(channels, roman: bool = False) -> str:
         lines.append("| --- | --- | --- | --- | --- | --- |")
         for k, p in enumerate(analysis.channel_profiles(i)):
             lines.append(
-                f"| {k} | {scalar_text(p.frobenius_norm_sq)} "
-                f"| {scalar_text(p.unitarity_deviation_sq)} "
-                f"| {scalar_text(p.scaled_unitarity_deviation_sq)} "
+                f"| {k} | {p.frobenius_norm_sq} "
+                f"| {p.unitarity_deviation_sq} "
+                f"| {p.scaled_unitarity_deviation_sq} "
                 f"| {p.rank} | {p.classification} |"
             )
         lines.append("")

@@ -16,7 +16,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Optional
 
 from .basis import ExpansionRow
-from .exact import ExtScalar
+from .exact import _KEYS as _SCALAR_KEYS, ExtScalar
 from .linalg import Operator3
 from .published import (
     KIND_EXPANSION,
@@ -37,13 +37,20 @@ def dumps_canonical(obj) -> str:
 # -- scalars, pre-measurement states, operators --------------------------------
 
 
-def scalar_to_obj(x: ExtScalar) -> dict:
-    return x.to_json_obj()
+def _check_keys(obj: dict, keys: tuple, what: str) -> None:
+    """The gate-table schema's key rule: exactly `keys`, none missing, none extra."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} lacks the {key!r} key")
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown {what} key {key!r}")
 
 
 def scalar_from_obj(obj: dict) -> ExtScalar:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a scalar object, got {type(obj).__name__}")
+    _check_keys(obj, _SCALAR_KEYS, "scalar")
     return ExtScalar.from_json_obj(obj)
 
 
@@ -54,7 +61,7 @@ def premeasure_to_obj(grid: Operator3) -> dict:
         "site": "B",
         "constant": False,
         "amplitudes": [
-            {f"c{j}": scalar_to_obj(grid.entry(b, j)) for j in range(3)}
+            {f"c{j}": grid.entry(b, j).to_json_obj() for j in range(3)}
             for b in range(3)
         ],
     }
@@ -65,7 +72,7 @@ def gate_to_obj(g: Operator3) -> dict:
         "channel": g.channel,
         "outcome": g.outcome,
         "provenance": g.provenance,
-        "entries": [[scalar_to_obj(g.entry(r, c)) for c in range(3)] for r in range(3)],
+        "entries": [[g.entry(r, c).to_json_obj() for c in range(3)] for r in range(3)],
     }
 
 
@@ -76,7 +83,8 @@ def _is_index(value) -> bool:
 def gate_from_obj(obj: dict) -> Operator3:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a gate object, got {type(obj).__name__}")
-    entries = obj.get("entries")
+    _check_keys(obj, ("channel", "outcome", "provenance", "entries"), "gate")
+    entries = obj["entries"]
     if not (
         isinstance(entries, list)
         and len(entries) == 3
@@ -88,9 +96,9 @@ def gate_from_obj(obj: dict) -> Operator3:
     )
     return Operator3(
         rows,
-        provenance=obj.get("provenance", "oracle"),
-        channel=obj.get("channel"),
-        outcome=obj.get("outcome"),
+        provenance=obj["provenance"],
+        channel=obj["channel"],
+        outcome=obj["outcome"],
     )
 
 
@@ -98,7 +106,7 @@ def expansion_to_obj(row: ExpansionRow) -> dict:
     return {
         "a2": row.a2,
         "b": row.b,
-        "coefficients": [scalar_to_obj(c) for c in row.coefficients],
+        "coefficients": [c.to_json_obj() for c in row.coefficients],
     }
 
 
@@ -119,6 +127,7 @@ def gate_table_loads(text: str) -> dict:
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("gates"), list):
         raise ValueError('expected an object with a "gates" list')
+    _check_keys(doc, ("gates",), "table")
     if not doc["gates"]:
         raise ValueError("the table lists no gates")
     gates = {}

@@ -217,7 +217,7 @@ def _scalar(q1):
     return {"q1": q1, "q2": "0/1", "q3": "0/1", "q6": "0/1"}
 
 
-def _gate_doc(**overrides):
+def _gate_doc(drop=(), **overrides):
     # the oracle gate (0, 0) is the identity over three
     gate = {
         "channel": 0,
@@ -226,6 +226,8 @@ def _gate_doc(**overrides):
         "entries": [[_scalar("1/3" if r == c else "0/1") for c in range(3)] for r in range(3)],
     }
     gate.update(overrides)
+    for key in drop:
+        del gate[key]
     return {"gates": [gate]}
 
 
@@ -245,6 +247,10 @@ def _gate_doc(**overrides):
         json.dumps(_gate_doc(channel="0")).encode(),
         json.dumps(_gate_doc(outcome=True)).encode(),
         json.dumps(_gate_doc(provenance=["oracle"])).encode(),
+        json.dumps(_gate_doc(drop=("provenance",))).encode(),
+        json.dumps(_gate_doc(label="Λ_0^0")).encode(),
+        json.dumps(_gate_doc(entries=[[dict(_scalar("0/1"), q9="0/1")] * 3] * 3)).encode(),
+        json.dumps(dict(_gate_doc(), version=1)).encode(),
     ],
     ids=[
         "array",
@@ -260,6 +266,10 @@ def _gate_doc(**overrides):
         "channel-string",
         "outcome-bool",
         "provenance-list",
+        "provenance-missing",
+        "extra-gate-key",
+        "extra-scalar-key",
+        "extra-top-level-key",
     ],
 )
 def test_import_malformed_table_exits_2_with_one_line(tmp_path, capsys, content):

@@ -3,10 +3,12 @@
 import pytest
 
 from qutrit_teleport import engine, published, serialize
-from qutrit_teleport.exact import INV_SQRT6, rational
+from qutrit_teleport.basis import ExpansionRow
+from qutrit_teleport.exact import INV_SQRT6, ONE, SQRT2, ZERO, rational
 from qutrit_teleport.linalg import Operator3
 from qutrit_teleport.published import (
     COEFFICIENT,
+    EXTRA_TERM,
     INDEX_SWAP,
     KIND_EXPANSION,
     KIND_GATE,
@@ -16,6 +18,9 @@ from qutrit_teleport.published import (
     MATCH,
     MISSING_TERM,
     SIGN,
+    classify_expansion,
+    classify_gate,
+    classify_ket,
     compare_tables,
     paper_expansion,
     paper_gate,
@@ -174,3 +179,57 @@ def test_transcriptions_are_frozen_constants():
     # repeated lookups hand back the same objects; nothing recomputes
     assert paper_gate(4, 4) is paper_gate(4, 4)
     assert paper_premeasure(2, 2) is paper_premeasure(2, 2)
+
+
+def _grid(*terms):
+    return Operator3.from_terms(rational(1), terms)
+
+
+def _row(*coeffs):
+    return ExpansionRow(0, 0, tuple(coeffs) + (ZERO,) * (9 - len(coeffs)))
+
+
+# Oracle for the grid cases: rows (0 1 0), (0 0 2), (0 0 0).  Swapping its
+# rows 0 and 2 is a row permutation that is not its transpose, and its
+# transpose is not a row permutation.
+_ORACLE_GRID = _grid((0, 1, 1), (1, 2, 2))
+_ROW_PERMUTED = _grid((2, 1, 1), (1, 2, 2))
+_TRANSPOSED = _grid((1, 0, 1), (2, 1, 2))
+_ORACLE_ROW = _row(ONE, ZERO, SQRT2)
+
+_CLASSIFIER_CASES = [
+    (classify_ket, _grid((0, 1, 1), (1, 2, 2)), _ORACLE_GRID, MATCH),
+    (classify_ket, _grid((0, 1, -1), (1, 2, -2)), _ORACLE_GRID, SIGN),
+    (classify_ket, _ROW_PERMUTED, _ORACLE_GRID, INDEX_SWAP),
+    (classify_ket, _grid((0, 1, 1)), _ORACLE_GRID, MISSING_TERM),
+    (classify_ket, _grid((0, 1, 1), (1, 2, 2), (2, 0, 1)), _ORACLE_GRID, EXTRA_TERM),
+    (classify_ket, _grid((0, 1, 1), (1, 2, 3)), _ORACLE_GRID, COEFFICIENT),
+    (classify_ket, _TRANSPOSED, _ORACLE_GRID, COEFFICIENT),
+    # support is over rows: a term added to an occupied row keeps the support
+    (classify_ket, _grid((0, 1, 1), (1, 2, 2), (1, 1, 1)), _ORACLE_GRID, COEFFICIENT),
+    (classify_gate, _grid((0, 1, 1), (1, 2, 2)), _ORACLE_GRID, MATCH),
+    (classify_gate, _grid((0, 1, -1), (1, 2, -2)), _ORACLE_GRID, SIGN),
+    (classify_gate, _TRANSPOSED, _ORACLE_GRID, INDEX_SWAP),
+    (classify_gate, _grid((0, 1, 1)), _ORACLE_GRID, MISSING_TERM),
+    (classify_gate, _grid((0, 1, 1), (1, 2, 2), (2, 0, 1)), _ORACLE_GRID, EXTRA_TERM),
+    (classify_gate, _grid((0, 1, 1), (1, 2, 3)), _ORACLE_GRID, COEFFICIENT),
+    (classify_gate, _ROW_PERMUTED, _ORACLE_GRID, COEFFICIENT),
+    # support is over entries: the same added term is an extra term
+    (classify_gate, _grid((0, 1, 1), (1, 2, 2), (1, 1, 1)), _ORACLE_GRID, EXTRA_TERM),
+    (classify_expansion, _row(ONE, ZERO, SQRT2), _ORACLE_ROW, MATCH),
+    (classify_expansion, _row(-ONE, ZERO, -SQRT2), _ORACLE_ROW, SIGN),
+    (classify_expansion, _row(ONE), _ORACLE_ROW, MISSING_TERM),
+    (classify_expansion, _row(ONE, ONE, SQRT2), _ORACLE_ROW, EXTRA_TERM),
+    (classify_expansion, _row(ONE, ZERO, -SQRT2), _ORACLE_ROW, COEFFICIENT),
+    # no swap test for expansion rows: exchanged coefficients are a coefficient error
+    (classify_expansion, _row(SQRT2, ZERO, ONE), _ORACLE_ROW, COEFFICIENT),
+]
+
+
+@pytest.mark.parametrize(
+    "classify, paper, oracle, expected",
+    _CLASSIFIER_CASES,
+    ids=[f"{c[0].__name__}-{c[3]}-{i}" for i, c in enumerate(_CLASSIFIER_CASES)],
+)
+def test_classifier_reaches_every_class(classify, paper, oracle, expected):
+    assert classify(paper, oracle) == expected
