@@ -233,10 +233,14 @@ def as_state(phi: Sequence[complex]) -> np.ndarray:
 
 
 def born_weights(effects: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Born weights <v|E_k|v>, clipped at zero; printed effects may not sum to I."""
+    """Born weights <v|E_k|v>, clipped at zero; printed effects may not sum to I.
+
+    `v` is one state of shape (3,) or a stack of shape (n, 3); a stack gives
+    (n, 9) weights, each row equal bit for bit to the call on that row.
+    """
     import numpy as np
 
-    return np.clip(np.einsum("i,kij,j->k", v.conj(), effects, v).real, 0.0, None)
+    return np.clip(np.einsum("...i,kij,...j->...k", v.conj(), effects, v).real, 0.0, None)
 
 
 def overlap(v: np.ndarray, gate: np.ndarray, rec: Optional[np.ndarray]) -> float:

@@ -276,6 +276,8 @@ def _cmd_simulate(args) -> int:
 
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
+    if args.seed < 0:
+        raise _UsageError("--seed must be non-negative")
     state = None if args.haar else _parse_state(args.state)
     try:
         summary, records = simulate.run_batch_records(

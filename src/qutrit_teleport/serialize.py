@@ -134,7 +134,10 @@ def gate_table_loads(text: str) -> dict:
     for obj in doc["gates"]:
         g = gate_from_obj(obj)
         if not (_is_index(g.channel) and _is_index(g.outcome)):
-            raise ValueError("gate table entries need channel and outcome tags in 0..8")
+            raise ValueError(
+                "import needs integer channel and outcome tags in 0..8 on every gate"
+                " (the schema also allows null)"
+            )
         key = (g.channel, g.outcome)
         if key in gates:
             raise ValueError(f"duplicate gate for channel/outcome {key}")

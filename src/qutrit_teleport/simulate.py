@@ -14,8 +14,15 @@ RNG contract (part of the interface, not an implementation detail): all
 randomness comes from NumPy's PCG64 bit generator.  A batch spawns one
 child of ``SeedSequence(master_seed)`` per trial; each child supplies two
 64-bit words, the first seeding the input-state draw (haar mode), the
-second seeding the trial itself.  Replaying a stored trial seed replays
-the trial bit for bit.
+second seeding the trial itself.  `run_trial` replays any stored trial
+seed bit for bit.
+
+A batch runs as one columnar pass rather than trial by trial: it draws
+every input state and every uniform from the trials' own seeds, then
+applies the Born rule and the outcome search to the whole (n, ·) stack
+at once and the overlap to each trial whose outcome has a recovery.
+Each step computes exactly what `run_trial` computes for one row, so
+every batch record equals the replay of its seed.
 
 Haar-random inputs are drawn by normalizing a 6-component standard
 Gaussian read as three complex amplitudes.
@@ -31,6 +38,15 @@ import numpy as np
 from . import analysis
 
 EVENT_SEQUENCE = ("prepare", "entangle", "joint_measure", "classical_send", "recover")
+_EVENT_LOG = (
+    ("prepare", "A1"),
+    ("entangle", "A2+B"),
+    ("joint_measure", "A1+A2"),
+    ("classical_send", "A1+A2->B"),
+    ("recover", "B"),
+)
+# Generator.random() maps a 64-bit word w to (w >> 11) * 2**-53
+_DOUBLE_UNIT = 2.0 ** -53
 
 # Upper 0.999 quantiles of the chi-square distribution for dof = 1..8, as
 # the exact float reprs of scipy.stats.chi2.ppf(0.999, dof) (scipy 1.17.1).
@@ -105,13 +121,6 @@ def run_trial(
     recovery_applied = rec is not None
     fidelity = analysis.overlap(phi, gates[outcome], rec) if recovery_applied else None
 
-    event_log = (
-        ("prepare", "A1"),
-        ("entangle", "A2+B"),
-        ("joint_measure", "A1+A2"),
-        ("classical_send", "A1+A2->B"),
-        ("recover", "B"),
-    )
     return TrialRecord(
         channel=channel,
         input_state=tuple(complex(x) for x in phi),
@@ -121,7 +130,7 @@ def run_trial(
         recovery_applied=recovery_applied,
         fidelity=fidelity,
         seed=int(seed),
-        event_log=event_log,
+        event_log=_EVENT_LOG,
     )
 
 
@@ -152,25 +161,32 @@ def run_batch_records(
 ) -> Tuple[BatchSummary, tuple]:
     """Seeded batch; returns the summary and every trial record.
 
-    Exactly one of `input_state` and `haar` selects the input mode.
+    Exactly one of `input_state` and `haar` selects the input mode.  Each
+    record equals ``run_trial(channel, record.input_state, record.seed,
+    use_paper_gates)``.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if haar == (input_state is not None):
-        raise ValueError("choose exactly one of a fixed input state or haar mode")
-
-    fixed_phi = None if haar else analysis.as_state(input_state)
-    records = []
-    for state_seed, trial_seed in trial_seeds(master_seed, trials):
-        if haar:
-            phi = haar_state(np.random.Generator(np.random.PCG64(state_seed)))
-        else:
-            phi = fixed_phi
-        records.append(run_trial(channel, phi, trial_seed, use_paper_gates))
-
-    summary = summarize(channel, records, fixed_phi=fixed_phi, haar=haar,
-                        use_paper_gates=use_paper_gates)
-    return summary, tuple(records)
+    summary, cols = _run_columns(
+        channel, trials, master_seed, input_state, haar, use_paper_gates
+    )
+    phis, rows, seeds, outcomes, probabilities, fidelities = cols
+    states = [tuple(row) for row in phis.tolist()]
+    records = tuple(
+        TrialRecord(
+            channel=channel,
+            input_state=states[row],
+            outcome=k,
+            outcome_probability=p,
+            classical_message=k,
+            recovery_applied=f is not None,
+            fidelity=f,
+            seed=seed,
+            event_log=_EVENT_LOG,
+        )
+        for row, seed, k, p, f in zip(
+            rows.tolist(), seeds, outcomes.tolist(), probabilities.tolist(), fidelities
+        )
+    )
+    return summary, records
 
 
 def run_batch(
@@ -181,10 +197,78 @@ def run_batch(
     haar: bool = False,
     use_paper_gates: bool = False,
 ) -> BatchSummary:
-    summary, _ = run_batch_records(
+    summary, _ = _run_columns(
         channel, trials, master_seed, input_state, haar, use_paper_gates
     )
     return summary
+
+
+def _run_columns(channel, trials, master_seed, input_state, haar, use_paper_gates):
+    """The whole batch as one columnar pass, trial for trial equal to `run_trial`.
+
+    Returns the summary and the columns ``(phis, rows, trial_seeds,
+    outcomes, outcome_probabilities, fidelities)``; trial t ran on input
+    ``phis[rows[t]]``, so `phis` has one row per trial in haar mode and a
+    single row shared by every trial in fixed mode.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if haar == (input_state is not None):
+        raise ValueError("choose exactly one of a fixed input state or haar mode")
+    fixed_phi = None if haar else analysis.as_state(input_state)
+    if not 0 <= channel <= 8:
+        raise ValueError(f"channel index {channel} out of range 0..8")
+    gates, effects, recoveries = analysis.numeric_channel(channel, use_paper_gates)
+
+    pairs = trial_seeds(master_seed, trials)
+    seeds = [trial_seed for _, trial_seed in pairs]
+    if haar:
+        # one generator per trial: the norm inside haar_state goes through
+        # BLAS, which a batched norm does not reproduce bit for bit
+        phis = np.array([
+            haar_state(np.random.Generator(np.random.PCG64(state_seed)))
+            for state_seed, _ in pairs
+        ])
+        rows = np.arange(trials)
+    else:
+        phis = fixed_phi[np.newaxis]
+        rows = np.zeros(trials, dtype=np.intp)
+    # Generator(PCG64(seed)).random() without building the Generator
+    u = np.array(
+        [np.random.PCG64(seed).random_raw() >> 11 for seed in seeds], dtype=np.uint64
+    ) * _DOUBLE_UNIT
+
+    weights = analysis.born_weights(effects, phis)
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    # searchsorted(cumsum, u, side="right") row by row, capped at 8
+    outcomes = np.minimum((np.cumsum(probs, axis=1) <= u[:, np.newaxis]).sum(axis=1), 8)
+    # rounding in the cumulative sum must never select a zero-mass bin: step
+    # down to the last outcome at or below it with mass (0 if there is none)
+    with_mass = np.where(probs != 0.0, np.arange(9), 0)
+    outcomes = np.maximum.accumulate(with_mass, axis=1)[rows, outcomes]
+
+    # fidelity depends only on (input row, outcome); fixed mode has at most nine
+    memo = {}
+    fidelities = []
+    for row, k in zip(rows.tolist(), outcomes.tolist()):
+        rec = recoveries[k]
+        if rec is None:
+            fidelities.append(None)
+            continue
+        f = memo.get((row, k))
+        if f is None:
+            f = memo[row, k] = analysis.overlap(phis[row], gates[k], rec)
+        fidelities.append(f)
+
+    summary = summarize(
+        channel,
+        outcomes,
+        [f for f in fidelities if f is not None],
+        fixed_phi=fixed_phi,
+        haar=haar,
+        use_paper_gates=use_paper_gates,
+    )
+    return summary, (phis, rows, seeds, outcomes, weights[rows, outcomes], fidelities)
 
 
 def _expected_distribution(
@@ -202,21 +286,16 @@ def _expected_distribution(
 
 def summarize(
     channel: int,
-    records: Sequence[TrialRecord],
+    outcomes: np.ndarray,
+    fidelities: Sequence[float],
     fixed_phi: Optional[np.ndarray] = None,
     haar: bool = False,
     use_paper_gates: bool = False,
 ) -> BatchSummary:
-    n = len(records)
-    counts = np.zeros(9, dtype=np.int64)
-    inv_fidelities = []
-    singular = 0
-    for r in records:
-        counts[r.outcome] += 1
-        if r.recovery_applied:
-            inv_fidelities.append(r.fidelity)
-        else:
-            singular += 1
+    """Summary of a batch from its outcome column and, in trial order, the
+    fidelity of every trial that applied a recovery."""
+    n = len(outcomes)
+    counts = np.bincount(outcomes, minlength=9)
     freqs = counts / n
 
     expected = _expected_distribution(channel, fixed_phi, haar, use_paper_gates)
@@ -230,11 +309,9 @@ def summarize(
     return BatchSummary(
         channel=channel,
         trials=n,
-        empirical_outcome_frequencies=tuple(float(f) for f in freqs),
-        mean_fidelity_invertible=(
-            float(np.mean(inv_fidelities)) if inv_fidelities else None
-        ),
-        singular_outcome_rate=singular / n,
+        empirical_outcome_frequencies=tuple(freqs.tolist()),
+        mean_fidelity_invertible=float(np.mean(fidelities)) if fidelities else None,
+        singular_outcome_rate=(n - len(fidelities)) / n,
         chi_square_vs_born=chi_sq,
         chi_square_dof=dof,
         chi_square_threshold=threshold,

@@ -294,3 +294,16 @@ def test_theorem_invertible_gates_need_two_full_schmidt_rank_states():
     third = Operator3.identity().scaled(rational(1, 3))
     maximal = [i for i, m in enumerate(_grids()) if m @ m.dagger() == third]
     assert maximal == [0]
+
+
+@pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
+def test_stacked_born_weights_equal_the_per_row_call(use_paper_gates):
+    rng = random.Random(17)
+    kets = np.eye(3, dtype=complex)
+    stack = np.array([*kets, *(random_state(rng) for _ in range(400))])
+    for channel in range(9):
+        effects = analysis.numeric_channel(channel, use_paper_gates).effects
+        weights = analysis.born_weights(effects, stack)
+        assert weights.shape == (len(stack), 9)
+        for row, v in zip(weights, stack):
+            assert np.array_equal(row, analysis.born_weights(effects, v))

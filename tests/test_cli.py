@@ -164,6 +164,15 @@ def test_simulate_rejects_non_finite_state(capsys, state):
     assert err.count("\n") == 1
 
 
+def test_simulate_negative_seed_names_the_flag(capsys):
+    code, out, err = run_cli(
+        capsys, ["simulate", "--channel", "0", "--trials", "3", "--seed", "-1"]
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "usage error: --seed must be non-negative\n"
+
+
 def test_usage_errors_exit_1(capsys):
     code, _, _ = run_cli(capsys, ["no-such-command"])
     assert code == EXIT_USAGE
@@ -244,6 +253,7 @@ def _gate_doc(drop=(), **overrides):
         json.dumps(_gate_doc(entries=[[1, 2, 3]] * 3)).encode(),
         json.dumps(_gate_doc(entries=[[_scalar("1/0")] * 3] * 3)).encode(),
         json.dumps(_gate_doc(channel=9)).encode(),
+        json.dumps(_gate_doc(channel=None)).encode(),
         json.dumps(_gate_doc(channel="0")).encode(),
         json.dumps(_gate_doc(outcome=True)).encode(),
         json.dumps(_gate_doc(provenance=["oracle"])).encode(),
@@ -263,6 +273,7 @@ def _gate_doc(drop=(), **overrides):
         "non-object-scalars",
         "zero-denominator",
         "channel-out-of-range",
+        "channel-null",
         "channel-string",
         "outcome-bool",
         "provenance-list",
@@ -280,6 +291,17 @@ def test_import_malformed_table_exits_2_with_one_line(tmp_path, capsys, content)
     assert out == ""
     assert err.startswith("malformed gate table: ")
     assert err.count("\n") == 1
+
+
+def test_import_null_tag_names_the_rule_beyond_the_schema(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_gate_doc(outcome=None)))
+    code, _, err = run_cli(capsys, ["import", str(path)])
+    assert code == EXIT_VIOLATION
+    assert err == (
+        "malformed gate table: import needs integer channel and outcome tags in 0..8"
+        " on every gate (the schema also allows null)\n"
+    )
 
 
 def test_import_of_a_good_table_still_passes(tmp_path, capsys):

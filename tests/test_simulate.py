@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qutrit_teleport import simulate
+from qutrit_teleport import analysis, simulate
 from qutrit_teleport.simulate import (
     EVENT_SEQUENCE,
     run_batch,
@@ -159,3 +159,42 @@ def test_input_validation():
         run_batch(0, 10, master_seed=0)
     with pytest.raises(ValueError):
         run_trial(9, KET0, seed=0)
+
+
+REPLAY_STATE = (0.5, 0.5j, 0.5 + 0.5j)
+
+
+@pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
+@pytest.mark.parametrize("mode", ["fixed", "haar", "fixed-ket0"])
+@pytest.mark.parametrize("channel", range(9))
+def test_batch_records_equal_replay_of_their_seeds(channel, mode, use_paper_gates):
+    # the columnar batch against the per-trial oracle; |0> leaves zero-mass
+    # outcomes (3, 6 and 7 on channel 0)
+    state = {"fixed": REPLAY_STATE, "haar": None, "fixed-ket0": KET0}[mode]
+    kwargs = dict(input_state=state, haar=state is None, use_paper_gates=use_paper_gates)
+    summary, records = run_batch_records(channel, 150, 40 + channel, **kwargs)
+    seeds = [trial_seed for _, trial_seed in trial_seeds(40 + channel, 150)]
+    assert [r.seed for r in records] == seeds
+    for rec in records:
+        assert run_trial(channel, rec.input_state, rec.seed, use_paper_gates) == rec
+    assert run_batch(channel, 150, 40 + channel, **kwargs) == summary
+
+
+def test_uniform_past_the_cumulative_sum_steps_down_to_an_outcome_with_mass(monkeypatch):
+    # every u >= 1 lands beyond the last bin; on channel 3, |0> gives
+    # outcomes 6, 7 and 8 no mass, so the draw must step down to 5
+    monkeypatch.setattr(simulate, "_DOUBLE_UNIT", 1.0)
+    _, records = run_batch_records(3, 50, master_seed=1, input_state=KET0)
+    p = analysis.outcome_distribution(3, KET0)
+    assert max(k for k in range(9) if p[k] > 0) == 5
+    assert {r.outcome for r in records} == {5}
+
+
+def test_uniform_from_the_raw_word_equals_generator_random():
+    drawn = np.random.default_rng(2024).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    seeds = [0, 2**63, 2**64 - 1, *drawn.tolist()]
+    raw = np.array(
+        [np.random.PCG64(s).random_raw() >> 11 for s in seeds], dtype=np.uint64
+    ) * simulate._DOUBLE_UNIT
+    ref = np.array([np.random.Generator(np.random.PCG64(s)).random() for s in seeds])
+    assert np.array_equal(raw.view(np.uint64), ref.view(np.uint64))
