@@ -178,41 +178,77 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
+def _first_nonzero(entries):
+    """``"[r][c] = value"`` for the first nonzero (r, c, value), else None."""
+    for r, c, x in entries:
+        if not x.is_zero():
+            return f"[{r}][{c}] = {x}"
+    return None
+
+
+def _op_entries(op: Operator3):
+    return ((r, c, op.entry(r, c)) for r in range(3) for c in range(3))
+
+
 def _verify_checks():
+    """(name, check) pairs.  A check returns None when it holds and
+    otherwise one witness line: where it first fails, and a nonzero value
+    there."""
     identity9 = tuple(
         tuple(ExtScalar(1 if r == c else 0) for c in range(9)) for r in range(9)
     )
 
+    def unit_grid(grid, what):
+        if grid == identity9:
+            return None
+        diff = (
+            (r, c, x - identity9[r][c])
+            for r, row in enumerate(grid)
+            for c, x in enumerate(row)
+        )
+        return f"{what} - identity entry {_first_nonzero(diff)}"
+
     def orthonormal():
-        return gram_matrix() == identity9
+        return unit_grid(gram_matrix(), "Gram matrix")
 
     def basis_complete():
-        return projector_sum() == identity9
+        return unit_grid(projector_sum(), "projector sum")
 
     def inversion_roundtrip():
-        return all(
-            reconstruct_product(expand_product(a2, b)) == Operator3.unit(a2, b)
-            for a2 in range(3)
-            for b in range(3)
-        )
+        for a2 in range(3):
+            for b in range(3):
+                diff = reconstruct_product(expand_product(a2, b)) - Operator3.unit(a2, b)
+                entry = _first_nonzero(_op_entries(diff))
+                if entry is not None:
+                    return f"(a2, b) = ({a2}, {b}): reconstruction - unit entry {entry}"
+        return None
 
     def gate_residuals():
-        return all(
-            engine.delta_qt(i, k, engine.derive_gate(i, k)).is_zero()
-            for i in range(9)
-            for k in range(9)
-        )
+        for i in range(9):
+            for k in range(9):
+                residual = engine.delta_qt(i, k, engine.derive_gate(i, k))
+                entry = _first_nonzero(_op_entries(residual))
+                if entry is not None:
+                    return f"(channel, outcome) = ({i}, {k}): residual entry {entry}"
+        return None
 
     def channel_reconstruction():
-        return all(
-            e.is_zero()
-            for i in range(9)
-            for row in engine.reconstruction_residual(i)
-            for e in row
-        )
+        for i in range(9):
+            residual = engine.reconstruction_residual(i)
+            entry = _first_nonzero(
+                (flat, j, e) for flat, row in enumerate(residual) for j, e in enumerate(row)
+            )
+            if entry is not None:
+                return f"channel {i}: residual entry {entry}"
+        return None
 
     def measurement_completeness():
-        return all(analysis.completeness(i).is_identity for i in range(9))
+        for i in range(9):
+            result = analysis.completeness(i)
+            if not result.is_identity:
+                entry = _first_nonzero(_op_entries(result.total - Operator3.identity()))
+                return f"channel {i}: sum of G^T G - identity entry {entry}"
+        return None
 
     def non_unitarity():
         identity = Operator3.identity()
@@ -220,8 +256,8 @@ def _verify_checks():
             for k in range(9):
                 g = engine.derive_gate(i, k)
                 if ((g.dagger() @ g) - identity).is_zero():
-                    return False
-        return True
+                    return f"(channel, outcome) = ({i}, {k}): G^T G = identity"
+        return None
 
     return (
         ("orthonormality of the entangled basis", orthonormal),
@@ -238,9 +274,12 @@ def _cmd_verify(args) -> int:
     failures = 0
     lines = []
     for name, check in _verify_checks():
-        ok = check()
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}")
-        failures += 0 if ok else 1
+        witness = check()
+        if witness is None:
+            lines.append(f"ok   {name}")
+        else:
+            lines += [f"FAIL {name}", f"     first failure: {witness}"]
+            failures += 1
     lines.append(
         "all checks passed" if failures == 0 else f"{failures} check(s) failed"
     )

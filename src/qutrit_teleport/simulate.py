@@ -15,7 +15,10 @@ randomness comes from NumPy's PCG64 bit generator.  A batch spawns one
 child of ``SeedSequence(master_seed)`` per trial; each child supplies two
 64-bit words, the first seeding the input-state draw (haar mode), the
 second seeding the trial itself.  `run_trial` replays any stored trial
-seed bit for bit.
+seed bit for bit.  A batch computes numpy's `SeedSequence`/`PCG64`
+seeding arithmetic over columns of trials instead of building those
+objects per trial; the test suite checks it against numpy's own classes,
+and the contract itself does not change.
 
 A batch runs as one columnar pass rather than trial by trial: it draws
 every input state and every uniform from the trials' own seeds, then
@@ -30,6 +33,7 @@ Gaussian read as three complex amplitudes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -142,13 +146,146 @@ def haar_state(rng: np.random.Generator) -> np.ndarray:
 
 
 def trial_seeds(master_seed: int, n: int) -> list:
-    """Per-trial (state_seed, trial_seed) pairs via SeedSequence spawning."""
-    root = np.random.SeedSequence(master_seed)
-    pairs = []
-    for child in root.spawn(n):
-        state_seed, trial_seed = (int(w) for w in child.generate_state(2, np.uint64))
-        pairs.append((state_seed, trial_seed))
-    return pairs
+    """Per-trial (state_seed, trial_seed) pairs: the two words of
+    ``SeedSequence(master_seed).spawn(n)[t].generate_state(2, np.uint64)``."""
+    state_seeds, seeds = _seed_columns(master_seed, n)
+    return list(zip(state_seeds.tolist(), seeds.tolist()))
+
+
+# -- numpy's seeding as column arithmetic ---------------------------------------
+#
+# SeedSequence and PCG64 seeding are fixed algorithms (NumPy NEP 19;
+# O'Neill, "PCG", HMC-CS-2014-0905), so a batch computes every trial's
+# seeds, uniform and generator state over integer columns instead of
+# building numpy objects per trial.  A word is either a Python int, for the
+# part every trial shares, or a uint32/uint64 column; the same code serves
+# both, because a column wraps by itself and a Python int is masked.  The
+# test suite checks each step against numpy's own classes.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG's default 128-bit multiplier as (high, low) 64-bit words
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
+# a spawn index of 2**32 or more takes two entropy words
+_MAX_TRIALS = 2**32
+
+
+def _hashmix(value, hc, mult=_MULT_A):
+    """One SeedSequence hash of a 32-bit word; returns it and the next constant."""
+    value = (value ^ hc) & _MASK32
+    hc = hc * mult & _MASK32
+    value = value * hc & _MASK32
+    return value ^ value >> 16, hc
+
+
+def _mix(x, y):
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _seed_pool(words):
+    """SeedSequence's entropy pool (pool size 4) from its entropy words."""
+    hc = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        h, hc = _hashmix(words[i] if i < len(words) else 0, hc)
+        pool.append(h)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], h)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            h, hc = _hashmix(word, hc)
+            pool[dst] = _mix(pool[dst], h)
+    return pool
+
+
+def _generate_state(pool, n_words):
+    """``generate_state(n_words, np.uint64)`` as uint64 columns; the pool
+    must hold uint32 columns."""
+    hc = _INIT_B
+    halves = []
+    for i in range(2 * n_words):
+        h, hc = _hashmix(pool[i % _POOL_SIZE], hc, _MULT_B)
+        halves.append(h.astype(np.uint64))
+    return [lo | hi << 32 for lo, hi in zip(halves[0::2], halves[1::2])]
+
+
+def _seed_columns(master_seed, n):
+    """(state_seeds, trial_seeds) uint64 columns of
+    ``SeedSequence(master_seed).spawn(n)``.  Child t hashes the master's
+    words, zero-padded to the pool size, and then t, so only that last step
+    runs over a column."""
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError("expected non-negative integer")
+    if n >= _MAX_TRIALS:
+        raise ValueError(f"at most {_MAX_TRIALS - 1} trials per batch")
+    words = []
+    while True:
+        words.append(master_seed & _MASK32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    return _generate_state(_seed_pool(words + [np.arange(n, dtype=np.uint32)]), 2)
+
+
+def _mulhi64(a, b):
+    """High word of the 128-bit product of 64-bit words, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _add128(a, b):
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _pcg_step(state, inc):
+    """state * multiplier + inc mod 2**128, on (high, low) pairs."""
+    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
+    product = (_mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo, lo * m_lo)
+    return _add128(product, inc)
+
+
+def _pcg64_seeded(seeds):
+    """``PCG64(seed).state``'s (state, inc) for a uint64 seed column, each a
+    (high, low) pair of uint64 columns."""
+    # PCG64 hashes the seed with SeedSequence(seed), unpadded; a seed below
+    # 2**32 is one word, which hashes as the pool's zero fill would
+    lo, hi = (seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)
+    s_hi, s_lo, i_hi, i_lo = _generate_state(_seed_pool([lo, hi]), 4)
+    # pcg_setseq_128_srandom_r
+    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+    return _pcg_step(_add128(inc, (s_hi, s_lo)), inc), inc
+
+
+def _pcg64_states(seeds):
+    """Yield ``PCG64(seed).state`` for every seed of a uint64 column."""
+    (s_hi, s_lo), (i_hi, i_lo) = _pcg64_seeded(seeds)
+    for sh, sl, ih, il in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+def _first_raw(state, inc):
+    """The first ``random_raw()`` word: one step, then the XSL-RR output."""
+    hi, lo = _pcg_step(state, inc)
+    rot = hi >> 58
+    x = hi ^ lo
+    return x >> rot | x << (64 - rot & 63)
 
 
 def run_batch_records(
@@ -220,23 +357,25 @@ def _run_columns(channel, trials, master_seed, input_state, haar, use_paper_gate
         raise ValueError(f"channel index {channel} out of range 0..8")
     gates, effects, recoveries = analysis.numeric_channel(channel, use_paper_gates)
 
-    pairs = trial_seeds(master_seed, trials)
-    seeds = [trial_seed for _, trial_seed in pairs]
+    state_seeds, seed_column = _seed_columns(master_seed, trials)
     if haar:
-        # one generator per trial: the norm inside haar_state goes through
-        # BLAS, which a batched norm does not reproduce bit for bit
-        phis = np.array([
-            haar_state(np.random.Generator(np.random.PCG64(state_seed)))
-            for state_seed, _ in pairs
-        ])
+        # one draw per trial: the norm inside haar_state goes through BLAS,
+        # which a batched norm does not reproduce bit for bit; one generator
+        # is reset to each trial's Generator(PCG64(state_seed)) state
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        phis = []
+        for state in _pcg64_states(state_seeds):
+            bit_generator.state = state
+            phis.append(haar_state(rng))
+        phis = np.array(phis)
         rows = np.arange(trials)
     else:
         phis = fixed_phi[np.newaxis]
         rows = np.zeros(trials, dtype=np.intp)
-    # Generator(PCG64(seed)).random() without building the Generator
-    u = np.array(
-        [np.random.PCG64(seed).random_raw() >> 11 for seed in seeds], dtype=np.uint64
-    ) * _DOUBLE_UNIT
+    # Generator(PCG64(seed)).random() without building either object
+    u = (_first_raw(*_pcg64_seeded(seed_column)) >> 11) * _DOUBLE_UNIT
+    seeds = seed_column.tolist()
 
     weights = analysis.born_weights(effects, phis)
     probs = weights / weights.sum(axis=1, keepdims=True)

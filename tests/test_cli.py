@@ -1,13 +1,14 @@
 """CLI behavior: exit codes, schemas, determinism, round-trips."""
 
 import json
+import re
 import warnings
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qutrit_teleport import serialize
+from qutrit_teleport import engine, serialize
 from qutrit_teleport.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -22,6 +23,31 @@ def test_verify_passes(capsys):
     assert code == EXIT_OK
     assert "all checks passed" in out
     assert out.count("ok  ") == 7
+
+
+def test_verify_failure_names_a_pair_and_a_nonzero_witness(capsys, monkeypatch):
+    # a transposed gate breaks the teleportation residual of every
+    # non-symmetric gate
+    derive = engine.derive_gate
+    monkeypatch.setattr(engine, "derive_gate", lambda i, k: derive(i, k).dagger())
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == EXIT_VIOLATION
+    lines = out.splitlines()
+    at = lines.index("FAIL teleportation residual zero for all 81 gates")
+    witness = re.fullmatch(
+        r"     first failure: \(channel, outcome\) = \((\d), (\d)\): "
+        r"residual entry \[(\d)\]\[(\d)\] = (.+)",
+        lines[at + 1],
+    )
+    assert witness is not None
+    i, k, r, c = (int(x) for x in witness.groups()[:4])
+    residual = engine.delta_qt(i, k, derive(i, k).dagger())
+    assert str(residual.entry(r, c)) == witness.group(5) != "0"
+    assert all(
+        line.startswith("     first failure: ")
+        for prev, line in zip(lines, lines[1:])
+        if prev.startswith("FAIL ")
+    )
 
 
 def test_compare_fail_on_mismatch_exits_2(capsys):
@@ -171,6 +197,15 @@ def test_simulate_negative_seed_names_the_flag(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "usage error: --seed must be non-negative\n"
+
+
+def test_simulate_trial_count_past_32_bits_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, ["simulate", "--channel", "0", "--trials", str(2**32)]
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "usage error: at most 4294967295 trials per batch\n"
 
 
 def test_usage_errors_exit_1(capsys):

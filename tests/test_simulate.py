@@ -1,6 +1,7 @@
 """Protocol simulation: determinism, causality, Born statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,7 +174,8 @@ def test_batch_records_equal_replay_of_their_seeds(channel, mode, use_paper_gate
     state = {"fixed": REPLAY_STATE, "haar": None, "fixed-ket0": KET0}[mode]
     kwargs = dict(input_state=state, haar=state is None, use_paper_gates=use_paper_gates)
     summary, records = run_batch_records(channel, 150, 40 + channel, **kwargs)
-    seeds = [trial_seed for _, trial_seed in trial_seeds(40 + channel, 150)]
+    spawned = np.random.SeedSequence(40 + channel).spawn(150)
+    seeds = [int(child.generate_state(2, np.uint64)[1]) for child in spawned]
     assert [r.seed for r in records] == seeds
     for rec in records:
         assert run_trial(channel, rec.input_state, rec.seed, use_paper_gates) == rec
@@ -198,3 +200,74 @@ def test_uniform_from_the_raw_word_equals_generator_random():
     ) * simulate._DOUBLE_UNIT
     ref = np.array([np.random.Generator(np.random.PCG64(s)).random() for s in seeds])
     assert np.array_equal(raw.view(np.uint64), ref.view(np.uint64))
+
+
+# -- the batch's seeding arithmetic against numpy's own classes ----------------
+
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize(
+    "master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 12345, 3**100]
+)
+def test_trial_seeds_equal_seed_sequence_spawn(master):
+    # masters of more than four words are not padded: their extra words mix
+    # into the pool after it is filled, and the spawn index after them
+    expected = [
+        tuple(int(w) for w in child.generate_state(2, np.uint64))
+        for child in np.random.SeedSequence(master).spawn(300)
+    ]
+    assert trial_seeds(master, 300) == expected
+
+
+def test_spawn_hash_over_the_whole_32_bit_index_range():
+    indices = [0, 1, 255, 256, 65_536, 2**31, 2**32 - 2, 2**32 - 1]
+    pool = simulate._seed_pool([7, 0, 0, 0, np.array(indices, dtype=np.uint32)])
+    state_seeds, seeds = simulate._generate_state(pool, 2)
+    for t, index in enumerate(indices):
+        child = np.random.SeedSequence(7, spawn_key=(index,))
+        assert child.generate_state(2, np.uint64).tolist() == [
+            int(state_seeds[t]),
+            int(seeds[t]),
+        ]
+
+
+def test_first_raw_word_equals_pcg64_random_raw():
+    # seeds below 2**32 hash one entropy word, the others two
+    drawn = np.random.default_rng(99).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    seeds = np.concatenate([np.array(_EDGE_SEEDS, dtype=np.uint64), drawn])
+    raw = simulate._first_raw(*simulate._pcg64_seeded(seeds))
+    expected = [np.random.PCG64(s).random_raw() for s in seeds.tolist()]
+    assert np.array_equal(raw, np.array(expected, dtype=np.uint64))
+
+
+def test_haar_generator_states_equal_pcg64_state():
+    state_seeds, _ = simulate._seed_columns(2024, 400)
+    seeds = np.concatenate([np.array(_EDGE_SEEDS, dtype=np.uint64), state_seeds])
+    expected = [np.random.PCG64(s).state for s in seeds.tolist()]
+    assert list(simulate._pcg64_states(seeds)) == expected
+
+
+def test_negative_master_seed_is_rejected():
+    with pytest.raises(ValueError):
+        trial_seeds(-1, 3)
+    with pytest.raises(ValueError):
+        run_batch(0, 3, master_seed=-1, haar=True)
+
+
+def test_trial_count_past_32_bits_is_rejected():
+    with pytest.raises(ValueError, match="trials"):
+        run_batch(0, 2**32, master_seed=0, input_state=KET0)
+    with pytest.raises(ValueError, match="trials"):
+        trial_seeds(0, 2**32)
+
+
+@pytest.mark.parametrize("master", [0, 2**64 - 1, 3**100])
+def test_batches_raise_no_numpy_warnings(master):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for use_paper_gates in (False, True):
+            run_batch(8, 200, master, haar=True, use_paper_gates=use_paper_gates)
+            run_batch(
+                8, 200, master, input_state=REPLAY_STATE, use_paper_gates=use_paper_gates
+            )
