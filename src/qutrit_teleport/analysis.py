@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 from . import engine, published
 from .basis import _frobenius
 from .exact import ExtScalar
-from .linalg import Operator3, PROVENANCE_RECOVERY
+from .linalg import Operator3
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,7 +55,14 @@ class CompletenessResult:
     is_identity: bool
 
 
-def profile_gate(g: Operator3) -> GateProfile:
+def profile_gate(
+    g: Operator3, channel: Optional[int] = None, outcome: Optional[int] = None
+) -> GateProfile:
+    """Exact profile of one gate.
+
+    `channel` and `outcome` are labels only: `channel_profiles` passes the
+    gate's key, and perfbench's tracer counts distinct profiled gates by them.
+    """
     gram = g.dagger() @ g
     frob = gram.trace()
     identity = Operator3.identity()
@@ -69,8 +76,8 @@ def profile_gate(g: Operator3) -> GateProfile:
     else:
         classification = CLASS_SINGULAR
     return GateProfile(
-        channel=g.channel,
-        outcome=g.outcome,
+        channel=channel,
+        outcome=outcome,
         frobenius_norm_sq=frob,
         unitarity_deviation_sq=_frobenius(dev, dev),
         scaled_unitarity_deviation_sq=_frobenius(scaled_dev, scaled_dev),
@@ -91,7 +98,7 @@ def completeness(i: int) -> CompletenessResult:
 @lru_cache(maxsize=None)
 def channel_profiles(i: int) -> tuple[GateProfile, ...]:
     """Profiles of one channel's nine oracle gates, in outcome order."""
-    return tuple(profile_gate(engine.derive_gate(i, k)) for k in range(9))
+    return tuple(profile_gate(engine.derive_gate(i, k), i, k) for k in range(9))
 
 
 def channel_census(i: int) -> dict:
@@ -171,9 +178,7 @@ def recovery(g: Operator3) -> Optional[Operator3]:
     root = _field_cbrt(magnitude)
     if root is not None and not root.is_zero():
         inv = inv.scaled(root.inverse())
-    return inv.tagged(
-        provenance=PROVENANCE_RECOVERY, channel=g.channel, outcome=g.outcome
-    )
+    return inv
 
 
 # ---------------------------------------------------------------------------

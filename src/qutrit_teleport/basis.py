@@ -11,17 +11,14 @@ transcriptions live in `published` and are diffed against these rows).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .exact import INV_SQRT2, INV_SQRT3, ExtScalar
+from .exact import INV_SQRT2, INV_SQRT3, INV_SQRT6, ExtScalar
 from .linalg import Operator3
 
 FAMILY_SINGLET = "singlet"
 FAMILY_BELL_LIKE = "bell_like"
 FAMILY_OCTET = "octet"
-
-_INV_SQRT6 = ExtScalar(q6=Fraction(1, 6))
 
 # Amplitude tables: (normalization, ((a2, b, integer weight), ...)).
 _STATE_TERMS = (
@@ -33,7 +30,7 @@ _STATE_TERMS = (
     (INV_SQRT2, ((2, 0, 1), (0, 2, -1))),
     (INV_SQRT2, ((2, 1, 1), (1, 2, 1))),
     (INV_SQRT2, ((2, 1, 1), (1, 2, -1))),
-    (_INV_SQRT6, ((0, 0, -2), (1, 1, 1), (2, 2, 1))),
+    (INV_SQRT6, ((0, 0, -2), (1, 1, 1), (2, 2, 1))),
 )
 
 

@@ -13,9 +13,11 @@ which is linear in the input with matrix
 
     G_ik = M_i^T M_k^T = (M_k M_i)^T.
 
-That product is the whole derivation.  The pre-measurement state of
-(i, k) *is* G_ik read as a coefficient grid: row b, column j holds the
-coefficient of c_j on |b>.
+That product is the whole derivation.  A gate is that bare matrix: its
+(channel, outcome) is the argument pair of `derive_gate` and the index of
+`derive_all`, never an attribute of the operator.  The pre-measurement
+state of (i, k) *is* G_ik read as a coefficient grid: row b, column j
+holds the coefficient of c_j on |b>.
 
 The paper's identities are checked by an independent route that never
 calls the product: `delta_qt` redoes the 27-entry projection explicitly,
@@ -33,10 +35,10 @@ from .linalg import Operator3
 
 @lru_cache(maxsize=None)
 def derive_gate(i: int, k: int) -> Operator3:
-    """The 3x3 measurement gate for (channel, outcome), tagged oracle."""
+    """The 3x3 measurement gate G_ik for channel i and outcome k."""
     m_i = entangled_state(i).matrix
     m_k = entangled_state(k).matrix
-    return (m_k @ m_i).dagger().tagged(channel=i, outcome=k)
+    return (m_k @ m_i).dagger()
 
 
 def derive_all() -> tuple:

@@ -4,7 +4,9 @@ One type, `Operator3`, carries every two-index object in the package: the
 coefficient grid M_i of an entangled state (row a2, column b), a
 measurement gate, a receiver's pre-measurement state (row b, column j
 holds the coefficient of the input amplitude c_j on |b>), and a recovery
-map.
+map.  An operator is its matrix and nothing else: a gate's (channel,
+outcome) is the key it is stored under, and the provenance string of the
+JSON wire form belongs to `serialize`.
 
 The coefficient field is real, so the adjoint of an operator is its
 transpose.
@@ -12,55 +14,31 @@ transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .exact import ONE, ZERO, ExtScalar
-
-PROVENANCE_ORACLE = "oracle"
-PROVENANCE_PAPER = "paper"
-PROVENANCE_RECOVERY = "derived-recovery"
-_PROVENANCES = (PROVENANCE_ORACLE, PROVENANCE_PAPER, PROVENANCE_RECOVERY)
 
 
 @dataclass(frozen=True)
 class Operator3:
-    """3x3 exact matrix, tagged with channel/outcome and provenance.
-
-    Tags are bookkeeping only: equality and hashing consider the entries,
-    so an oracle-derived gate and a transcribed one compare equal exactly
-    when their matrices agree.
-    """
+    """3x3 exact matrix; equality and hashing compare the entries."""
 
     rows: tuple
-    provenance: str = field(default=PROVENANCE_ORACLE, compare=False)
-    channel: Optional[int] = field(default=None, compare=False)
-    outcome: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise ValueError("Operator3 requires a 3x3 entry grid")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     @classmethod
-    def from_terms(cls, scale: ExtScalar, terms, **tags) -> "Operator3":
+    def from_terms(cls, scale: ExtScalar, terms) -> "Operator3":
         """scale * sum of weight * E_{r,c} over (r, c, integer weight) terms."""
         rows = [[ZERO, ZERO, ZERO] for _ in range(3)]
         for r, c, weight in terms:
             rows[r][c] = rows[r][c] + scale * weight
-        return cls(tuple(tuple(row) for row in rows), **tags)
+        return cls(tuple(tuple(row) for row in rows))
 
     def entry(self, r: int, c: int) -> ExtScalar:
         return self.rows[r][c]
-
-    def tagged(self, provenance=None, channel=None, outcome=None) -> "Operator3":
-        return Operator3(
-            self.rows,
-            provenance if provenance is not None else self.provenance,
-            channel if channel is not None else self.channel,
-            outcome if outcome is not None else self.outcome,
-        )
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for r in self.rows for e in r)

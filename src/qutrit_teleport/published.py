@@ -42,7 +42,7 @@ from .exact import (
     ONE,
     rational,
 )
-from .linalg import PROVENANCE_PAPER, Operator3
+from .linalg import Operator3
 
 KIND_PREMEASURE = "premeasure"
 KIND_GATE = "gate"
@@ -380,13 +380,7 @@ def _grid_entries(kind: str, source: dict, cell, equation: str) -> dict:
                 location = f"Eq. ({equation}{_EQ_LETTERS[outcome]})"
             else:
                 location = f"Appendix ({_ROMAN[channel - 1]}), {label}"
-            grid = Operator3.from_terms(
-                scale,
-                (cell(*term) for term in terms),
-                provenance=PROVENANCE_PAPER,
-                channel=channel,
-                outcome=outcome,
-            )
+            grid = Operator3.from_terms(scale, (cell(*term) for term in terms))
             entries[(channel, outcome)] = PaperEntry(
                 location, channel, outcome, kind, grid, label, notes
             )
@@ -444,10 +438,6 @@ def paper_gate(i: int, k: int) -> PaperEntry:
 
 def paper_expansion(a2: int, b: int) -> PaperEntry:
     return _lookup(KIND_EXPANSION, (a2, b), "expansion row for |{}>|{}>")
-
-
-def document_anomalies() -> tuple:
-    return _ANOMALIES
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def derive_text(channels, roman: bool = False, outcome=None) -> str:
         lines.append(f"Channel {channel_name(i, roman)}")
         for k in outcomes:
             gate = engine.derive_gate(i, k)
-            profile = analysis.profile_gate(gate)
+            profile = analysis.channel_profiles(i)[k]
             lines.append(
                 f" outcome {k}: premeasure = {premeasure_text(gate)}"
             )
@@ -193,7 +193,7 @@ def derive_latex(channels, roman: bool = False, outcome=None) -> str:
         lines.append("\\midrule")
         for k in outcomes:
             gate = engine.derive_gate(i, k)
-            profile = analysis.profile_gate(gate)
+            profile = analysis.channel_profiles(i)[k]
             delta = engine.delta_qt(i, k, gate)
             delta_tex = "0" if delta.is_zero() else premeasure_latex(delta)
             lines.append(

@@ -5,6 +5,11 @@ indent, UTF-8, trailing newline, no timestamps, so identical invocations
 produce byte-identical documents.  Exact scalars travel as "p/q" strings,
 so export/import round-trips are exact, not approximate.
 
+This is the only module that knows the gate wire form.  A gate in memory is
+a bare `Operator3`; its (channel, outcome) is the key it is stored under,
+and the gate object written here adds that key and a provenance string
+("oracle" for a derived gate, "paper" for a transcribed one).
+
 JSON Schemas for the three machine-readable documents (gate table, errata
 report, batch summary) ship with the package under ``schemas/``.
 """
@@ -23,6 +28,7 @@ from .published import (
     KIND_GATE,
     KIND_LABEL,
     KIND_PREMEASURE,
+    ErrataEntry,
     ErrataReport,
 )
 
@@ -67,11 +73,17 @@ def premeasure_to_obj(grid: Operator3) -> dict:
     }
 
 
-def gate_to_obj(g: Operator3) -> dict:
+# the schema's provenance enum: import accepts all three, though only
+# "oracle" and "paper" are written
+_PROVENANCES = ("oracle", "paper", "derived-recovery")
+
+
+def gate_to_obj(g: Operator3, key: tuple, provenance: str) -> dict:
+    channel, outcome = key
     return {
-        "channel": g.channel,
-        "outcome": g.outcome,
-        "provenance": g.provenance,
+        "channel": channel,
+        "outcome": outcome,
+        "provenance": provenance,
         "entries": [[g.entry(r, c).to_json_obj() for c in range(3)] for r in range(3)],
     }
 
@@ -94,12 +106,9 @@ def gate_from_obj(obj: dict) -> Operator3:
     rows = tuple(
         tuple(scalar_from_obj(cell) for cell in row) for row in entries
     )
-    return Operator3(
-        rows,
-        provenance=obj["provenance"],
-        channel=obj["channel"],
-        outcome=obj["outcome"],
-    )
+    if obj["provenance"] not in _PROVENANCES:
+        raise ValueError(f"unknown provenance {obj['provenance']!r}")
+    return Operator3(rows)
 
 
 def expansion_to_obj(row: ExpansionRow) -> dict:
@@ -114,8 +123,7 @@ def expansion_to_obj(row: ExpansionRow) -> dict:
 
 
 def gate_table_to_obj(gates: dict) -> dict:
-    ordered = [gates[key] for key in sorted(gates)]
-    return {"gates": [gate_to_obj(g) for g in ordered]}
+    return {"gates": [gate_to_obj(gates[key], key, "oracle") for key in sorted(gates)]}
 
 
 def gate_table_dumps(gates: dict) -> str:
@@ -133,12 +141,12 @@ def gate_table_loads(text: str) -> dict:
     gates = {}
     for obj in doc["gates"]:
         g = gate_from_obj(obj)
-        if not (_is_index(g.channel) and _is_index(g.outcome)):
+        key = (obj["channel"], obj["outcome"])
+        if not all(_is_index(index) for index in key):
             raise ValueError(
                 "import needs integer channel and outcome tags in 0..8 on every gate"
                 " (the schema also allows null)"
             )
-        key = (g.channel, g.outcome)
         if key in gates:
             raise ValueError(f"duplicate gate for channel/outcome {key}")
         gates[key] = g
@@ -148,18 +156,18 @@ def gate_table_loads(text: str) -> dict:
 # -- errata report ------------------------------------------------------------
 
 
-def _entry_value_to_obj(kind: str, value) -> Optional[object]:
+def _entry_value_to_obj(e: ErrataEntry, value, provenance: str) -> Optional[object]:
     if value is None:
         return None
-    if kind == KIND_GATE:
-        return gate_to_obj(value)
-    if kind == KIND_PREMEASURE:
+    if e.kind == KIND_GATE:
+        return gate_to_obj(value, (e.channel, e.outcome), provenance)
+    if e.kind == KIND_PREMEASURE:
         return premeasure_to_obj(value)
-    if kind == KIND_EXPANSION:
+    if e.kind == KIND_EXPANSION:
         return expansion_to_obj(value)
-    if kind == KIND_LABEL:
+    if e.kind == KIND_LABEL:
         return None
-    raise ValueError(f"unknown entry kind {kind!r}")
+    raise ValueError(f"unknown entry kind {e.kind!r}")
 
 
 def errata_to_obj(report: ErrataReport) -> dict:
@@ -174,8 +182,8 @@ def errata_to_obj(report: ErrataReport) -> dict:
                 "printed_label": e.printed_label,
                 "discrepancy": e.discrepancy,
                 "notes": e.notes,
-                "paper_value": _entry_value_to_obj(e.kind, e.paper_value),
-                "oracle_value": _entry_value_to_obj(e.kind, e.oracle_value),
+                "paper_value": _entry_value_to_obj(e, e.paper_value, "paper"),
+                "oracle_value": _entry_value_to_obj(e, e.oracle_value, "oracle"),
             }
             for e in report.entries
         ],

@@ -293,6 +293,8 @@ def _gate_doc(drop=(), **overrides):
         json.dumps(_gate_doc(outcome=True)).encode(),
         json.dumps(_gate_doc(provenance=["oracle"])).encode(),
         json.dumps(_gate_doc(drop=("provenance",))).encode(),
+        json.dumps(_gate_doc(provenance="forged")).encode(),
+        json.dumps(_gate_doc(provenance=7)).encode(),
         json.dumps(_gate_doc(label="Λ_0^0")).encode(),
         json.dumps(_gate_doc(entries=[[dict(_scalar("0/1"), q9="0/1")] * 3] * 3)).encode(),
         json.dumps(dict(_gate_doc(), version=1)).encode(),
@@ -313,6 +315,8 @@ def _gate_doc(drop=(), **overrides):
         "outcome-bool",
         "provenance-list",
         "provenance-missing",
+        "provenance-forged",
+        "provenance-number",
         "extra-gate-key",
         "extra-scalar-key",
         "extra-top-level-key",
@@ -339,9 +343,27 @@ def test_import_null_tag_names_the_rule_beyond_the_schema(tmp_path, capsys):
     )
 
 
+def test_import_unknown_provenance_names_it(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_gate_doc(provenance="forged")))
+    code, _, err = run_cli(capsys, ["import", str(path)])
+    assert code == EXIT_VIOLATION
+    assert err == "malformed gate table: unknown provenance 'forged'\n"
+
+
 def test_import_of_a_good_table_still_passes(tmp_path, capsys):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(_gate_doc()))
+    code, out, _ = run_cli(capsys, ["import", str(path)])
+    assert code == EXIT_OK
+    assert out == "1 gates match the derivation exactly\n"
+
+
+@pytest.mark.parametrize("provenance", ["paper", "derived-recovery"])
+def test_import_accepts_every_schema_provenance(tmp_path, capsys, provenance):
+    # nothing writes "derived-recovery" any more, but the schema still allows it
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_gate_doc(provenance=provenance)))
     code, out, _ = run_cli(capsys, ["import", str(path)])
     assert code == EXIT_OK
     assert out == "1 gates match the derivation exactly\n"

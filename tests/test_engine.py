@@ -7,7 +7,7 @@ import pytest
 from qutrit_teleport import engine
 from qutrit_teleport.basis import entangled_state
 from qutrit_teleport.exact import INV_SQRT6, ONE, ZERO, ExtScalar, rational
-from qutrit_teleport.linalg import PROVENANCE_ORACLE, Operator3
+from qutrit_teleport.linalg import Operator3
 from qutrit_teleport.published import paper_gate
 
 INV_3SQRT2 = ExtScalar(q2=Fraction(1, 6))
@@ -95,15 +95,13 @@ def test_gate_is_transposed_product_of_state_grids():
             assert engine.derive_gate(i, k) == m_i.dagger() @ m_k.dagger()
 
 
-def test_derive_all_shape_and_tags():
+def test_derive_all_shape_and_order():
     table = engine.derive_all()
     assert len(table) == 9
     assert all(len(row) == 9 for row in table)
     for i, row in enumerate(table):
         for k, gate in enumerate(row):
-            assert gate.provenance == PROVENANCE_ORACLE
-            assert gate.channel == i
-            assert gate.outcome == k
+            assert gate is engine.derive_gate(i, k)
 
 
 def test_residual_zero_for_all_oracle_gates():

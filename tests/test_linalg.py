@@ -114,12 +114,6 @@ def test_dagger_and_products():
     )
 
 
-def test_operator_equality_ignores_tags():
-    a = Operator3.identity().tagged(channel=0, outcome=0)
-    b = Operator3.identity().tagged(provenance="paper", channel=5, outcome=7)
-    assert a == b
-
-
 def test_linear_form_zero_iff_all_components_zero():
     # a grid row is the linear form of one receiver amplitude; it is
     # omitted from the rendering exactly when all three coefficients vanish

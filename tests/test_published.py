@@ -52,7 +52,6 @@ def test_transcribed_gate_0_3_keeps_printed_sign_placement():
 
 def test_transcribed_premeasure_6_0():
     grid = paper_premeasure(6, 0).value
-    assert grid.provenance == "paper"
     assert grid.entry(0, 1) == INV_SQRT6
     assert grid.entry(1, 2) == INV_SQRT6
     assert all(grid.entry(2, j).is_zero() for j in range(3))
