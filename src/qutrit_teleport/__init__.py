@@ -14,7 +14,7 @@ exact work does not import numpy.
 
 from .exact import ExtScalar, rational
 from .linalg import Operator3
-from .basis import EntangledState, ExpansionRow, entangled_state, expand_product
+from .basis import ExpansionRow, entangled_state, expand_product
 from .engine import derive_all, derive_gate
 from .published import compare_tables
 from .analysis import GateProfile, profile_gate, recovery
@@ -23,7 +23,6 @@ __all__ = [
     "ExtScalar",
     "rational",
     "Operator3",
-    "EntangledState",
     "ExpansionRow",
     "entangled_state",
     "expand_product",

@@ -6,7 +6,8 @@ scalar multiple of the identity, and the rank, all over the exact field,
 so rank-2 is distinguishable from nearly-rank-2.  Gates fall into three
 classes: proportional to a unitary (deterministic recovery), invertible
 but not proportional to a unitary, and singular (part of the input is
-destroyed; no deterministic recovery).
+destroyed; no deterministic recovery).  `completeness(i)` is the bare sum
+over k of G_ik^T G_ik, which callers compare with the identity.
 
 The numeric layer is the package's one floating-point path, shared with
 `simulate`: `numeric_channel` caches a channel's gates (oracle or printed),
@@ -23,7 +24,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import engine, published
-from .basis import _frobenius
 from .exact import ExtScalar
 from .linalg import Operator3
 
@@ -46,13 +46,6 @@ class GateProfile:
     scaled_unitarity_deviation_sq: ExtScalar
     rank: int
     classification: str
-
-
-@dataclass(frozen=True)
-class CompletenessResult:
-    channel: int
-    total: Operator3
-    is_identity: bool
 
 
 def profile_gate(
@@ -79,20 +72,20 @@ def profile_gate(
         channel=channel,
         outcome=outcome,
         frobenius_norm_sq=frob,
-        unitarity_deviation_sq=_frobenius(dev, dev),
-        scaled_unitarity_deviation_sq=_frobenius(scaled_dev, scaled_dev),
+        unitarity_deviation_sq=dev.frobenius(dev),
+        scaled_unitarity_deviation_sq=scaled_dev.frobenius(scaled_dev),
         rank=rank,
         classification=classification,
     )
 
 
-def completeness(i: int) -> CompletenessResult:
-    """Exact sum_k G_k^T G_k for a channel, compared with the identity."""
+def completeness(i: int) -> Operator3:
+    """Exact sum_k G_k^T G_k for a channel, as a bare matrix."""
     total = Operator3.zero()
     for k in range(9):
         g = engine.derive_gate(i, k)
         total = total + (g.dagger() @ g)
-    return CompletenessResult(i, total, (total - Operator3.identity()).is_zero())
+    return total
 
 
 @lru_cache(maxsize=None)

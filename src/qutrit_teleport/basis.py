@@ -2,9 +2,15 @@
 
 The states form an orthonormal basis of the 9-dimensional two-site space:
 one maximally entangled singlet, seven Bell-like pair states, and the
-symmetric octet state.  `expand_product` inverts the construction: it
-expresses each computational product state |a2>|b> in the entangled basis
-by exact projection, never by transcribing the printed identities (those
+symmetric octet state.  A state is its 3x3 coefficient grid:
+`entangled_state(i)` returns M_i, with |Psi_i> = sum M_i[a2][b] |a2>|b>,
+and `family_of(i)` is the only source of its family label.  The flat
+9-entry amplitude list (`Operator3.flat`, index 3*a2 + b) is only an
+output format.
+
+`expand_product` inverts the construction: it expresses each
+computational product state |a2>|b> in the entangled basis by exact
+projection, never by transcribing the printed identities (those
 transcriptions live in `published` and are diffed against these rows).
 """
 
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import INV_SQRT2, INV_SQRT3, INV_SQRT6, ExtScalar
+from .exact import INV_SQRT2, INV_SQRT3, INV_SQRT6, ZERO
 from .linalg import Operator3
 
 FAMILY_SINGLET = "singlet"
@@ -35,22 +41,6 @@ _STATE_TERMS = (
 
 
 @dataclass(frozen=True)
-class EntangledState:
-    """|Psi_i> = sum_{a2,b} matrix[a2][b] |a2>|b>.
-
-    The flat 9-entry amplitude list (index 3*a2 + b) is only an output
-    format; every computation works on the 3x3 grid.
-    """
-
-    index: int
-    matrix: Operator3
-    family: str
-
-    def flat(self) -> tuple:
-        return tuple(self.matrix.entry(f // 3, f % 3) for f in range(9))
-
-
-@dataclass(frozen=True)
 class ExpansionRow:
     """|a2>|b> = sum_i coefficients[i] * |Psi_i>, coefficients exact."""
 
@@ -60,45 +50,29 @@ class ExpansionRow:
 
 
 def family_of(index: int) -> str:
-    if index == 0:
-        return FAMILY_SINGLET
-    if index == 8:
-        return FAMILY_OCTET
-    return FAMILY_BELL_LIKE
+    return {0: FAMILY_SINGLET, 8: FAMILY_OCTET}.get(index, FAMILY_BELL_LIKE)
 
 
 @lru_cache(maxsize=None)
-def entangled_state(index: int) -> EntangledState:
-    """The i-th entangled basis state with its exact coefficient grid."""
+def entangled_state(index: int) -> Operator3:
+    """The exact coefficient grid M_i of the i-th entangled basis state."""
     if not 0 <= index <= 8:
         raise ValueError(f"entangled state index {index} out of range 0..8")
     scale, terms = _STATE_TERMS[index]
-    return EntangledState(index, Operator3.from_terms(scale, terms), family_of(index))
-
-
-def all_states() -> tuple:
-    return tuple(entangled_state(i) for i in range(9))
-
-
-def _frobenius(x: Operator3, y: Operator3) -> ExtScalar:
-    acc = ExtScalar()
-    for r in range(3):
-        for c in range(3):
-            acc = acc + x.entry(r, c) * y.entry(r, c)
-    return acc
+    return Operator3.from_terms(scale, terms)
 
 
 def gram_matrix() -> tuple:
     """9x9 matrix of pairwise inner products <Psi_a|Psi_b> = tr(M_a^T M_b)."""
-    grids = [s.matrix for s in all_states()]
-    return tuple(tuple(_frobenius(x, y) for y in grids) for x in grids)
+    grids = [entangled_state(i) for i in range(9)]
+    return tuple(tuple(x.frobenius(y) for y in grids) for x in grids)
 
 
 def projector_sum() -> tuple:
     """sum_i |Psi_i><Psi_i| as an exact 9x9 matrix (completeness check)."""
-    out = [[ExtScalar() for _ in range(9)] for _ in range(9)]
-    for s in all_states():
-        amps = s.flat()
+    out = [[ZERO] * 9 for _ in range(9)]
+    for i in range(9):
+        amps = entangled_state(i).flat()
         for r in range(9):
             if amps[r].is_zero():
                 continue
@@ -116,7 +90,7 @@ def expand_product(a2: int, b: int) -> ExpansionRow:
     """
     if not (0 <= a2 <= 2 and 0 <= b <= 2):
         raise ValueError("basis indices must lie in 0..2")
-    coeffs = tuple(entangled_state(i).matrix.entry(a2, b) for i in range(9))
+    coeffs = tuple(entangled_state(i).entry(a2, b) for i in range(9))
     return ExpansionRow(a2, b, coeffs)
 
 
@@ -124,5 +98,5 @@ def reconstruct_product(row: ExpansionRow) -> Operator3:
     """sum_i coefficients[i] * M_i; equals the matrix unit E_{a2,b}."""
     total = Operator3.zero()
     for i in range(9):
-        total = total + entangled_state(i).matrix.scaled(row.coefficients[i])
+        total = total + entangled_state(i).scaled(row.coefficients[i])
     return total

@@ -18,7 +18,7 @@ from typing import Optional
 from . import analysis, engine, published, render, serialize
 from . import __version__
 from .basis import expand_product, gram_matrix, projector_sum, reconstruct_product
-from .exact import ExtScalar
+from .exact import ONE
 from .linalg import Operator3
 
 EXIT_OK = 0
@@ -129,16 +129,16 @@ def _cmd_basis(args) -> int:
     elif args.format == "latex":
         _emit(render.basis_latex(), args.out)
     else:
-        from .basis import all_states
+        from .basis import entangled_state, family_of
 
         doc = {
             "states": [
                 {
-                    "index": s.index,
-                    "family": s.family,
-                    "amplitudes": [a.to_json_obj() for a in s.flat()],
+                    "index": i,
+                    "family": family_of(i),
+                    "amplitudes": [a.to_json_obj() for a in entangled_state(i).flat()],
                 }
-                for s in all_states()
+                for i in range(9)
             ],
             "gram": [[x.to_json_obj() for x in row] for row in gram_matrix()],
         }
@@ -178,94 +178,78 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _first_nonzero(entries):
-    """``"[r][c] = value"`` for the first nonzero (r, c, value), else None."""
-    for r, c, x in entries:
-        if not x.is_zero():
-            return f"[{r}][{c}] = {x}"
+def _first_failure(residuals):
+    """``"<where> entry [r][c] = value"`` for the first nonzero entry of the
+    first residual that has one, else None.  `residuals` yields (where,
+    grid rows) pairs and is read lazily: nothing after the failure is
+    computed."""
+    for where, rows in residuals:
+        for r, row in enumerate(rows):
+            for c, x in enumerate(row):
+                if not x.is_zero():
+                    return f"{where} entry [{r}][{c}] = {x}"
     return None
 
 
-def _op_entries(op: Operator3):
-    return ((r, c, op.entry(r, c)) for r in range(3) for c in range(3))
+def _minus_identity(grid) -> tuple:
+    return tuple(
+        tuple(x - ONE if r == c else x for c, x in enumerate(row))
+        for r, row in enumerate(grid)
+    )
 
 
 def _verify_checks():
     """(name, check) pairs.  A check returns None when it holds and
     otherwise one witness line: where it first fails, and a nonzero value
-    there."""
-    identity9 = tuple(
-        tuple(ExtScalar(1 if r == c else 0) for c in range(9)) for r in range(9)
-    )
-
-    def unit_grid(grid, what):
-        if grid == identity9:
-            return None
-        diff = (
-            (r, c, x - identity9[r][c])
-            for r, row in enumerate(grid)
-            for c, x in enumerate(row)
-        )
-        return f"{what} - identity entry {_first_nonzero(diff)}"
+    there.  Six checks are residuals that must vanish, scanned by
+    `_first_failure`; non-unitarity is the one check that must not."""
+    identity = Operator3.identity()
 
     def orthonormal():
-        return unit_grid(gram_matrix(), "Gram matrix")
+        yield "Gram matrix - identity", _minus_identity(gram_matrix())
 
     def basis_complete():
-        return unit_grid(projector_sum(), "projector sum")
+        yield "projector sum - identity", _minus_identity(projector_sum())
 
     def inversion_roundtrip():
         for a2 in range(3):
             for b in range(3):
                 diff = reconstruct_product(expand_product(a2, b)) - Operator3.unit(a2, b)
-                entry = _first_nonzero(_op_entries(diff))
-                if entry is not None:
-                    return f"(a2, b) = ({a2}, {b}): reconstruction - unit entry {entry}"
-        return None
+                yield f"(a2, b) = ({a2}, {b}): reconstruction - unit", diff.rows
 
     def gate_residuals():
         for i in range(9):
             for k in range(9):
                 residual = engine.delta_qt(i, k, engine.derive_gate(i, k))
-                entry = _first_nonzero(_op_entries(residual))
-                if entry is not None:
-                    return f"(channel, outcome) = ({i}, {k}): residual entry {entry}"
-        return None
+                yield f"(channel, outcome) = ({i}, {k}): residual", residual.rows
 
     def channel_reconstruction():
         for i in range(9):
-            residual = engine.reconstruction_residual(i)
-            entry = _first_nonzero(
-                (flat, j, e) for flat, row in enumerate(residual) for j, e in enumerate(row)
-            )
-            if entry is not None:
-                return f"channel {i}: residual entry {entry}"
-        return None
+            yield f"channel {i}: residual", engine.reconstruction_residual(i)
 
     def measurement_completeness():
         for i in range(9):
-            result = analysis.completeness(i)
-            if not result.is_identity:
-                entry = _first_nonzero(_op_entries(result.total - Operator3.identity()))
-                return f"channel {i}: sum of G^T G - identity entry {entry}"
-        return None
+            diff = analysis.completeness(i) - identity
+            yield f"channel {i}: sum of G^T G - identity", diff.rows
 
     def non_unitarity():
-        identity = Operator3.identity()
         for i in range(9):
             for k in range(9):
                 g = engine.derive_gate(i, k)
-                if ((g.dagger() @ g) - identity).is_zero():
+                if g.dagger() @ g == identity:
                     return f"(channel, outcome) = ({i}, {k}): G^T G = identity"
         return None
 
+    def scan(residuals):
+        return lambda: _first_failure(residuals())
+
     return (
-        ("orthonormality of the entangled basis", orthonormal),
-        ("completeness of the entangled basis", basis_complete),
-        ("product-state inversion round-trip", inversion_roundtrip),
-        ("teleportation residual zero for all 81 gates", gate_residuals),
-        ("composite-state reconstruction per channel", channel_reconstruction),
-        ("measurement completeness per channel", measurement_completeness),
+        ("orthonormality of the entangled basis", scan(orthonormal)),
+        ("completeness of the entangled basis", scan(basis_complete)),
+        ("product-state inversion round-trip", scan(inversion_roundtrip)),
+        ("teleportation residual zero for all 81 gates", scan(gate_residuals)),
+        ("composite-state reconstruction per channel", scan(channel_reconstruction)),
+        ("measurement completeness per channel", scan(measurement_completeness)),
         ("non-unitarity of all 81 gates", non_unitarity),
     )
 
@@ -379,11 +363,18 @@ def _cmd_import(args) -> int:
         key for key, g in sorted(gates.items()) if g != engine.derive_gate(*key)
     ]
     if mismatched:
+        first = _first_failure(
+            (
+                f"(channel, outcome) = ({i}, {k}): file - derivation",
+                (gates[i, k] - engine.derive_gate(i, k)).rows,
+            )
+            for i, k in mismatched
+        )
         sys.stdout.write(
             f"{len(mismatched)} of {len(gates)} gates differ from the derivation: "
             + ", ".join(str(k) for k in mismatched[:8])
             + ("..." if len(mismatched) > 8 else "")
-            + "\n"
+            + f"\nfirst difference: {first}\n"
         )
         return EXIT_VIOLATION
     sys.stdout.write(f"{len(gates)} gates match the derivation exactly\n")

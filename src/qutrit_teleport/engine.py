@@ -36,8 +36,8 @@ from .linalg import Operator3
 @lru_cache(maxsize=None)
 def derive_gate(i: int, k: int) -> Operator3:
     """The 3x3 measurement gate G_ik for channel i and outcome k."""
-    m_i = entangled_state(i).matrix
-    m_k = entangled_state(k).matrix
+    m_i = entangled_state(i)
+    m_k = entangled_state(k)
     return (m_k @ m_i).dagger()
 
 
@@ -54,8 +54,8 @@ def delta_qt(i: int, k: int, gate: Operator3) -> Operator3:
     every oracle gate; generally nonzero for transcribed gates that
     disagree with the derivation.
     """
-    m_i = entangled_state(i).matrix
-    m_k = entangled_state(k).matrix
+    m_i = entangled_state(i)
+    m_k = entangled_state(k)
     rows = [[ZERO, ZERO, ZERO] for _ in range(3)]
     for j in range(3):
         for flat in range(27):
@@ -75,8 +75,8 @@ def reconstruction_residual(i: int) -> tuple:
     the coefficient of c_j in the composite amplitude; all 81 are zero
     exactly when the nine outcomes of channel i resum to its composite.
     """
-    m_i = entangled_state(i).matrix
-    pairs = [(entangled_state(k).matrix, derive_gate(i, k)) for k in range(9)]
+    m_i = entangled_state(i)
+    pairs = [(entangled_state(k), derive_gate(i, k)) for k in range(9)]
     out = []
     for flat in range(27):
         a1, a2, b = flat // 9, (flat // 3) % 3, flat % 3

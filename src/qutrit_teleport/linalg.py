@@ -3,13 +3,15 @@
 One type, `Operator3`, carries every two-index object in the package: the
 coefficient grid M_i of an entangled state (row a2, column b), a
 measurement gate, a receiver's pre-measurement state (row b, column j
-holds the coefficient of the input amplitude c_j on |b>), and a recovery
-map.  An operator is its matrix and nothing else: a gate's (channel,
-outcome) is the key it is stored under, and the provenance string of the
-JSON wire form belongs to `serialize`.
+holds the coefficient of the input amplitude c_j on |b>), a recovery map
+and the completeness sum of a channel.  An operator is its matrix and
+nothing else: a gate's (channel, outcome) is the key it is stored under,
+and the provenance string of the JSON wire form belongs to `serialize`.
 
-The coefficient field is real, so the adjoint of an operator is its
-transpose.
+`flat` is the one row-major flattening (entry (r, c) at index 3*r + c,
+so a state grid's flat index is 3*a2 + b), and `frobenius` the one inner
+product.  The coefficient field is real, so the adjoint of an operator is
+its transpose.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import ONE, ZERO, ExtScalar
+
+
+def _dot(xs, ys) -> ExtScalar:
+    return sum((x * y for x, y in zip(xs, ys)), ZERO)
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,14 @@ class Operator3:
     def entry(self, r: int, c: int) -> ExtScalar:
         return self.rows[r][c]
 
+    def flat(self) -> tuple:
+        """The nine entries, row-major."""
+        return tuple(e for row in self.rows for e in row)
+
+    def frobenius(self, other: "Operator3") -> ExtScalar:
+        """tr(self^T other), the sum of the entrywise products."""
+        return _dot(self.flat(), other.flat())
+
     def is_zero(self) -> bool:
         return all(e.is_zero() for r in self.rows for e in r)
 
@@ -50,16 +64,8 @@ class Operator3:
     def __matmul__(self, other: "Operator3") -> "Operator3":
         if not isinstance(other, Operator3):
             return NotImplemented
-        rows = []
-        for r in range(3):
-            row = []
-            for c in range(3):
-                acc = ZERO
-                for m in range(3):
-                    acc = acc + self.rows[r][m] * other.rows[m][c]
-                row.append(acc)
-            rows.append(tuple(row))
-        return Operator3(tuple(rows))
+        cols = tuple(zip(*other.rows))
+        return Operator3(tuple(tuple(_dot(r, c) for c in cols) for r in self.rows))
 
     def _entrywise(self, other: "Operator3", op) -> "Operator3":
         return Operator3(

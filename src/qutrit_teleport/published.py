@@ -489,10 +489,6 @@ def _classify(paper: tuple, oracle: tuple, support, swapped=None) -> str:
     return COEFFICIENT
 
 
-def _flat(grid: Operator3) -> tuple:
-    return tuple(e for row in grid.rows for e in row)
-
-
 def _support(values: tuple) -> frozenset:
     return frozenset(i for i, v in enumerate(values) if not v.is_zero())
 
@@ -505,8 +501,8 @@ def classify_ket(paper: Operator3, oracle: Operator3) -> str:
     """Grids with row b = the amplitude on |b>: a row permutation is an index
     swap, and the support is the nonzero rows."""
     return _classify(
-        _flat(paper),
-        _flat(oracle),
+        paper.flat(),
+        oracle.flat(),
         _row_support,
         lambda: Counter(paper.rows) == Counter(oracle.rows),
     )
@@ -515,7 +511,7 @@ def classify_ket(paper: Operator3, oracle: Operator3) -> str:
 def classify_gate(paper: Operator3, oracle: Operator3) -> str:
     """A transpose is an index swap; the support is the nonzero entries."""
     return _classify(
-        _flat(paper), _flat(oracle), _support, lambda: paper == oracle.dagger()
+        paper.flat(), oracle.flat(), _support, lambda: paper == oracle.dagger()
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import analysis, engine
-from .basis import all_states, expand_product, gram_matrix
+from .basis import entangled_state, expand_product, family_of, gram_matrix
 from .exact import ExtScalar
 from .linalg import Operator3
 from .published import ErrataReport
@@ -119,10 +119,9 @@ def gate_latex(g: Operator3) -> str:
 
 def basis_text() -> str:
     lines = ["Entangled two-qutrit basis (site pair A2,B)", ""]
-    for state in all_states():
-        lines.append(
-            f"Psi_{state.index} [{state.family}]: {entangled_state_text(state.flat())}"
-        )
+    for i in range(9):
+        ket = entangled_state_text(entangled_state(i).flat())
+        lines.append(f"Psi_{i} [{family_of(i)}]: {ket}")
     lines.append("")
     lines.append("Gram matrix <Psi_a|Psi_b>:")
     for row in gram_matrix():
@@ -143,9 +142,9 @@ def basis_text() -> str:
 
 def basis_latex() -> str:
     lines = ["% entangled basis states", "\\begin{align}"]
-    for state in all_states():
+    for i in range(9):
         terms = []
-        for flat, amp in enumerate(state.flat()):
+        for flat, amp in enumerate(entangled_state(i).flat()):
             if amp.is_zero():
                 continue
             coeff = scalar_latex(amp)
@@ -153,8 +152,8 @@ def basis_latex() -> str:
                 f"({coeff})\\ket{{{flat // 3}_{{A_2}}}}\\ket{{{flat % 3}_B}}"
             )
         body = "+".join(terms)
-        sep = "\\\\" if state.index < 8 else ""
-        lines.append(f"\\ket{{\\Psi_{{{state.index}}}}}_{{A_2B}} &= {body} {sep}")
+        sep = "\\\\" if i < 8 else ""
+        lines.append(f"\\ket{{\\Psi_{{{i}}}}}_{{A_2B}} &= {body} {sep}")
     lines.append("\\end{align}")
     return "\n".join(lines) + "\n"
 
@@ -276,12 +275,12 @@ def errata_latex(report: ErrataReport) -> str:
 def analysis_markdown(channels, roman: bool = False) -> str:
     lines = ["# Gate analysis", ""]
     for i in channels:
-        comp = analysis.completeness(i)
+        complete = analysis.completeness(i) == Operator3.identity()
         census = analysis.channel_census(i)
         lines.append(f"## Channel {channel_name(i, roman)}")
         lines.append("")
         lines.append(
-            f"Completeness sum_k G^T G = identity: **{'yes' if comp.is_identity else 'NO'}**"
+            f"Completeness sum_k G^T G = identity: **{'yes' if complete else 'NO'}**"
         )
         census_text = ", ".join(f"{name}: {count}" for name, count in sorted(census.items()))
         lines.append(f"Gate census: {census_text}")
@@ -304,7 +303,7 @@ def analysis_markdown(channels, roman: bool = False) -> str:
 def analysis_obj(channels) -> dict:
     out = {"channels": []}
     for i in channels:
-        comp = analysis.completeness(i)
+        complete = analysis.completeness(i) == Operator3.identity()
         census = analysis.channel_census(i)
         gates = []
         for k, p in enumerate(analysis.channel_profiles(i)):
@@ -323,7 +322,7 @@ def analysis_obj(channels) -> dict:
         out["channels"].append(
             {
                 "channel": i,
-                "completeness_is_identity": comp.is_identity,
+                "completeness_is_identity": complete,
                 "census": census,
                 "gates": gates,
             }

@@ -120,7 +120,7 @@ def test_criterion_4_paper_agreement_and_errata():
 
 
 def test_criterion_5_measurement_completeness():
-    ok = all(analysis.completeness(i).is_identity for i in range(9))
+    ok = all(analysis.completeness(i) == Operator3.identity() for i in range(9))
     _report(5, "sum_k G^T G equals the identity exactly on all 9 channels", ok)
 
 

@@ -8,8 +8,10 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qutrit_teleport import engine, serialize
+from qutrit_teleport import analysis, cli, engine, serialize
 from qutrit_teleport.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from qutrit_teleport.exact import ONE, rational
+from qutrit_teleport.linalg import Operator3
 
 
 def run_cli(capsys, argv):
@@ -25,24 +27,98 @@ def test_verify_passes(capsys):
     assert out.count("ok  ") == 7
 
 
-def test_verify_failure_names_a_pair_and_a_nonzero_witness(capsys, monkeypatch):
-    # a transposed gate breaks the teleportation residual of every
-    # non-symmetric gate
-    derive = engine.derive_gate
-    monkeypatch.setattr(engine, "derive_gate", lambda i, k: derive(i, k).dagger())
+def _plus_unit(rows, r, c):
+    """An exact grid with one added at (r, c)."""
+    return tuple(
+        tuple(x + ONE if (i, j) == (r, c) else x for j, x in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+
+
+# One case per verify check: the check's name, the attribute patched, the
+# replacement built from the original, and the witness the check must print.
+# The residual case's witness value is checked against delta_qt instead.
+_BROKEN_CHECKS = [
+    pytest.param(
+        "orthonormality of the entangled basis",
+        (cli, "gram_matrix"),
+        lambda gram: lambda: _plus_unit(gram(), 2, 5),
+        "Gram matrix - identity entry [2][5] = 1",
+        id="orthonormality",
+    ),
+    pytest.param(
+        "completeness of the entangled basis",
+        (cli, "projector_sum"),
+        lambda projectors: lambda: _plus_unit(projectors(), 4, 4),
+        "projector sum - identity entry [4][4] = 1",
+        id="basis-completeness",
+    ),
+    pytest.param(
+        "product-state inversion round-trip",
+        (cli, "reconstruct_product"),
+        lambda rebuild: lambda row: rebuild(row).scaled(rational(2)),
+        "(a2, b) = (0, 0): reconstruction - unit entry [0][0] = 1",
+        id="inversion",
+    ),
+    pytest.param(
+        # a transposed gate breaks the residual of every non-symmetric gate
+        "teleportation residual zero for all 81 gates",
+        (engine, "derive_gate"),
+        lambda derive: lambda i, k: derive(i, k).dagger(),
+        None,
+        id="residual",
+    ),
+    pytest.param(
+        "composite-state reconstruction per channel",
+        (engine, "reconstruction_residual"),
+        lambda residual: lambda i: (
+            _plus_unit(residual(i), 3, 1) if i == 2 else residual(i)
+        ),
+        "channel 2: residual entry [3][1] = 1",
+        id="reconstruction",
+    ),
+    pytest.param(
+        "measurement completeness per channel",
+        (analysis, "completeness"),
+        lambda total: lambda i: total(i).scaled(rational(3)) if i == 5 else total(i),
+        "channel 5: sum of G^T G - identity entry [0][0] = 2",
+        id="measurement-completeness",
+    ),
+    pytest.param(
+        "non-unitarity of all 81 gates",
+        (engine, "derive_gate"),
+        lambda derive: lambda i, k: (
+            Operator3.identity() if (i, k) == (6, 7) else derive(i, k)
+        ),
+        "(channel, outcome) = (6, 7): G^T G = identity",
+        id="non-unitarity",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, target, breaker, expected", _BROKEN_CHECKS)
+def test_verify_failure_names_a_location_and_a_witness(
+    capsys, monkeypatch, check, target, breaker, expected
+):
+    module, name = target
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, breaker(original))
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == EXIT_VIOLATION
     lines = out.splitlines()
-    at = lines.index("FAIL teleportation residual zero for all 81 gates")
-    witness = re.fullmatch(
-        r"     first failure: \(channel, outcome\) = \((\d), (\d)\): "
-        r"residual entry \[(\d)\]\[(\d)\] = (.+)",
-        lines[at + 1],
-    )
-    assert witness is not None
-    i, k, r, c = (int(x) for x in witness.groups()[:4])
-    residual = engine.delta_qt(i, k, derive(i, k).dagger())
-    assert str(residual.entry(r, c)) == witness.group(5) != "0"
+    at = lines.index(f"FAIL {check}")
+    if expected is None:
+        witness = re.fullmatch(
+            r"     first failure: \(channel, outcome\) = \((\d), (\d)\): "
+            r"residual entry \[(\d)\]\[(\d)\] = (.+)",
+            lines[at + 1],
+        )
+        assert witness is not None
+        i, k, r, c = (int(x) for x in witness.groups()[:4])
+        residual = engine.delta_qt(i, k, original(i, k).dagger())
+        assert str(residual.entry(r, c)) == witness.group(5) != "0"
+    else:
+        assert lines[at + 1] == f"     first failure: {expected}"
     assert all(
         line.startswith("     first failure: ")
         for prev, line in zip(lines, lines[1:])
@@ -239,6 +315,16 @@ def test_import_detects_tampering(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["import", str(table)])
     assert code == EXIT_VIOLATION
     assert "differ" in out
+    witness = re.search(
+        r"^first difference: \(channel, outcome\) = \(4, 4\): "
+        r"file - derivation entry \[0\]\[0\] = (.+)$",
+        out,
+        re.MULTILINE,
+    )
+    assert witness is not None
+    tampered = serialize.gate_table_loads(table.read_text())[4, 4]
+    difference = tampered.entry(0, 0) - engine.derive_gate(4, 4).entry(0, 0)
+    assert witness.group(1) == str(difference) != "0"
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

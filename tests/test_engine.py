@@ -20,7 +20,7 @@ def _resummed_composite(i, flat, j):
     a1, a2, b = flat // 9, (flat // 3) % 3, flat % 3
     acc = ZERO
     for k in range(9):
-        acc = acc + entangled_state(k).matrix.entry(a1, a2) * engine.derive_gate(
+        acc = acc + entangled_state(k).entry(a1, a2) * engine.derive_gate(
             i, k
         ).entry(b, j)
     return acc
@@ -89,9 +89,9 @@ def test_derive_gate_examples():
 
 def test_gate_is_transposed_product_of_state_grids():
     for i in range(9):
-        m_i = entangled_state(i).matrix
+        m_i = entangled_state(i)
         for k in range(9):
-            m_k = entangled_state(k).matrix
+            m_k = entangled_state(k)
             assert engine.derive_gate(i, k) == m_i.dagger() @ m_k.dagger()
 
 

@@ -75,6 +75,8 @@ def test_simulate_loads_numpy_but_not_scipy():
 
 
 def test_lazy_package_names_resolve():
+    for name in qutrit_teleport.__all__:
+        getattr(qutrit_teleport, name)
     for name in ("BatchSummary", "TrialRecord", "run_batch", "run_trial"):
         assert name in qutrit_teleport.__all__
         assert getattr(qutrit_teleport, name) is getattr(simulate, name)

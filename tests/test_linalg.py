@@ -8,7 +8,7 @@ import pytest
 
 from qutrit_teleport import engine
 from qutrit_teleport.analysis import gate_matrix
-from qutrit_teleport.basis import EntangledState, entangled_state
+from qutrit_teleport.basis import entangled_state
 from qutrit_teleport.exact import INV_SQRT6, ONE, ZERO, ExtScalar, rational
 from qutrit_teleport.linalg import Operator3
 from qutrit_teleport.published import paper_gate, paper_premeasure
@@ -29,14 +29,14 @@ def random_operator(rng):
 
 def test_basis_tensor_hits_flat_index_zero():
     # |0>|0> is the matrix unit E_00, which sits at flat index 0
-    amps = EntangledState(0, Operator3.unit(0, 0), "product").flat()
+    amps = Operator3.unit(0, 0).flat()
     assert amps[0] == ONE
     assert all(a.is_zero() for a in amps[1:])
 
 
 def test_flat_index_convention_pairs():
     # |1>|2> lands at 3*1 + 2 = 5
-    amps = EntangledState(0, Operator3.unit(1, 2), "product").flat()
+    amps = Operator3.unit(1, 2).flat()
     assert [i for i, a in enumerate(amps) if not a.is_zero()] == [5]
     # Psi_6 = (|2>|1> + |1>|2>)/sqrt2 occupies flat indices 5 and 7
     amps = entangled_state(6).flat()
@@ -68,6 +68,13 @@ def test_matmul_associativity_exact():
     for _ in range(40):
         x, y, z = (random_operator(rng) for _ in range(3))
         assert (x @ y) @ z == x @ (y @ z)
+
+
+def test_frobenius_is_trace_of_transpose_product():
+    rng = random.Random(5)
+    for _ in range(20):
+        x, y = random_operator(rng), random_operator(rng)
+        assert x.frobenius(y) == (x.dagger() @ y).trace()
 
 
 def test_from_terms_accumulates_weights():
