@@ -205,7 +205,7 @@ def numeric_channel(i: int, use_paper_gates: bool) -> NumericChannel:
     import numpy as np
 
     if use_paper_gates:
-        exact = [published.paper_gate(i, k).value for k in range(9)]
+        exact = [published.paper_gate(i, k) for k in range(9)]
     else:
         exact = [engine.derive_gate(i, k) for k in range(9)]
     gates = np.stack([gate_matrix(g) for g in exact])

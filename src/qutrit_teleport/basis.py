@@ -49,15 +49,20 @@ class ExpansionRow:
     coefficients: tuple  # indexed by entangled-state index 0..8
 
 
+def _check_index(index: int) -> None:
+    if not 0 <= index <= 8:
+        raise ValueError(f"entangled state index {index} out of range 0..8")
+
+
 def family_of(index: int) -> str:
+    _check_index(index)
     return {0: FAMILY_SINGLET, 8: FAMILY_OCTET}.get(index, FAMILY_BELL_LIKE)
 
 
 @lru_cache(maxsize=None)
 def entangled_state(index: int) -> Operator3:
     """The exact coefficient grid M_i of the i-th entangled basis state."""
-    if not 0 <= index <= 8:
-        raise ValueError(f"entangled state index {index} out of range 0..8")
+    _check_index(index)
     scale, terms = _STATE_TERMS[index]
     return Operator3.from_terms(scale, terms)
 

@@ -122,7 +122,8 @@ class Operator3:
 
     @classmethod
     def identity(cls) -> "Operator3":
-        return cls.from_terms(ONE, ((0, 0, 1), (1, 1, 1), (2, 2, 1)))
+        """The identity; one shared instance, since an operator is immutable."""
+        return _IDENTITY
 
     @classmethod
     def zero(cls) -> "Operator3":
@@ -132,3 +133,6 @@ class Operator3:
     def unit(cls, r: int, c: int) -> "Operator3":
         """The matrix unit E_{r,c}: one at (r, c), zero elsewhere."""
         return cls.from_terms(ONE, ((r, c, 1),))
+
+
+_IDENTITY = Operator3(((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)))

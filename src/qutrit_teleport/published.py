@@ -5,9 +5,12 @@ the source text prints is frozen here as data, keyed by (channel, outcome)
 or (a2, b) and carrying its printed label verbatim, including label
 anomalies (a lowercase gate label, hatted labels, swapped channel/outcome
 indices) and bracket defects.  Nothing in this module is computed from the
-printed values.  Each takes one path: its source row becomes a `PaperEntry`
-at import, and `compare_tables` classifies it against the independently
-derived oracle value on one discrepancy ladder into an `ErrataEntry`.
+printed values.  `paper_premeasure`, `paper_gate` and `paper_expansion`
+return the bare printed value (an `Operator3` or an `ExpansionRow`), built
+from its source row on first use and cached.  `compare_tables` builds each
+`ErrataEntry` straight from a source row: the row gives the label, notes
+and location, and the printed value is classified against the
+independently derived oracle value on one discrepancy ladder.
 
 Transcription conventions, applied uniformly and recorded in entry notes:
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import engine
@@ -72,19 +76,6 @@ _HALF = rational(1, 2)
 _SIXTH = rational(1, 6)
 _INV_2SQRT3 = ExtScalar(q3=Fraction(1, 6))  # 1/(2*sqrt3) = sqrt3/6
 _INV_3SQRT2 = ExtScalar(q2=Fraction(1, 6))  # 1/(3*sqrt2) = sqrt2/6
-
-
-@dataclass(frozen=True)
-class PaperEntry:
-    """One printed value, frozen exactly as typeset."""
-
-    location: str
-    channel: Optional[int]
-    outcome: Optional[int]
-    kind: str
-    value: object
-    printed_label: str
-    notes: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -370,74 +361,36 @@ _ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
 _EQ_LETTERS = "abcdefghi"
 
 
-def _grid_entries(kind: str, source: dict, cell, equation: str) -> dict:
-    """Entries of a printed grid table, keyed (channel, list position); `cell`
-    places a term as (row, col, weight), and channel 0 is Eq. (<equation>a..i)."""
-    entries = {}
-    for channel, rows in source.items():
-        for outcome, (label, scale, terms, notes) in enumerate(rows):
-            if channel == 0:
-                location = f"Eq. ({equation}{_EQ_LETTERS[outcome]})"
-            else:
-                location = f"Appendix ({_ROMAN[channel - 1]}), {label}"
-            grid = Operator3.from_terms(scale, (cell(*term) for term in terms))
-            entries[(channel, outcome)] = PaperEntry(
-                location, channel, outcome, kind, grid, label, notes
-            )
-    return entries
+def _source_row(source: dict, i: int, k: int, missing: str) -> tuple:
+    """Row k of channel i in a printed grid table, by list position."""
+    rows = source.get(i, ())
+    if not 0 <= k < len(rows):
+        raise KeyError(f"no printed {missing} for channel {i}, outcome {k}")
+    return rows[k]
 
 
-def _expansion_entries() -> dict:
-    entries = {}
-    for (a2, b), (location, scale, terms) in sorted(_EXPANSION_SRC.items()):
-        weights = dict(terms)
-        row = ExpansionRow(a2, b, tuple(scale * weights.get(i, 0) for i in range(9)))
-        entries[(a2, b)] = PaperEntry(
-            location, channel=None, outcome=None, kind=KIND_EXPANSION, value=row,
-            printed_label=f"|{a2}⟩|{b}⟩",
-        )
-    return entries
+@lru_cache(maxsize=None)
+def paper_premeasure(i: int, k: int) -> Operator3:
+    """The printed pre-measurement state; term (amplitude j, ket b, weight)
+    sits at grid row b, column j."""
+    _, scale, terms, _ = _source_row(_PREMEASURE_SRC, i, k, "pre-measurement state")
+    return Operator3.from_terms(scale, ((b, j, w) for j, b, w in terms))
 
 
-# Every transcribed value by kind, each table in index order.  A printed
-# pre-measurement term (amplitude j, ket b, weight) sits at grid row b,
-# column j; a printed gate term is already (row, col, weight).
-_ENTRIES = {
-    KIND_EXPANSION: _expansion_entries(),
-    KIND_PREMEASURE: _grid_entries(
-        KIND_PREMEASURE, _PREMEASURE_SRC, lambda j, b, w: (b, j, w), "10"
-    ),
-    KIND_GATE: _grid_entries(KIND_GATE, _GATE_SRC, lambda r, c, w: (r, c, w), "11"),
-}
-
-_ANOMALIES = tuple(
-    PaperEntry(
-        location, channel=None, outcome=None, kind=KIND_LABEL, value=None,
-        printed_label=label, notes=notes,
-    )
-    for location, label, notes in _DOCUMENT_ANOMALIES
-)
+@lru_cache(maxsize=None)
+def paper_gate(i: int, k: int) -> Operator3:
+    _, scale, terms, _ = _source_row(_GATE_SRC, i, k, "gate")
+    return Operator3.from_terms(scale, terms)
 
 
-def _lookup(kind: str, key: tuple, missing: str) -> PaperEntry:
+@lru_cache(maxsize=None)
+def paper_expansion(a2: int, b: int) -> ExpansionRow:
     try:
-        return _ENTRIES[kind][key]
+        _, scale, terms = _EXPANSION_SRC[(a2, b)]
     except KeyError:
-        raise KeyError("no printed " + missing.format(*key))
-
-
-def paper_premeasure(i: int, k: int) -> PaperEntry:
-    return _lookup(
-        KIND_PREMEASURE, (i, k), "pre-measurement state for channel {}, outcome {}"
-    )
-
-
-def paper_gate(i: int, k: int) -> PaperEntry:
-    return _lookup(KIND_GATE, (i, k), "gate for channel {}, outcome {}")
-
-
-def paper_expansion(a2: int, b: int) -> PaperEntry:
-    return _lookup(KIND_EXPANSION, (a2, b), "expansion row for |{}>|{}>")
+        raise KeyError(f"no printed expansion row for |{a2}>|{b}>")
+    weights = dict(terms)
+    return ExpansionRow(a2, b, tuple(scale * weights.get(i, 0) for i in range(9)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +473,6 @@ def classify_expansion(paper: ExpansionRow, oracle: ExpansionRow) -> str:
     return _classify(paper.coefficients, oracle.coefficients, _support)
 
 
-def _errata(entry: PaperEntry, discrepancy: str, oracle=None) -> ErrataEntry:
-    return ErrataEntry(
-        entry.location, entry.kind, entry.channel, entry.outcome, entry.printed_label,
-        discrepancy, entry.notes, paper_value=entry.value, oracle_value=oracle,
-    )
-
-
 def compare_tables() -> ErrataReport:
     """Exact diff of every transcribed value against the oracle derivation.
 
@@ -534,15 +480,31 @@ def compare_tables() -> ErrataReport:
     states, then gates (each in index order), then document anomalies.
     """
     entries = []
-    for kind, oracle_of, classify in (
-        (KIND_EXPANSION, expand_product, classify_expansion),
-        (KIND_PREMEASURE, engine.derive_gate, classify_ket),
-        (KIND_GATE, engine.derive_gate, classify_gate),
+    for (a2, b), (location, _, _) in sorted(_EXPANSION_SRC.items()):
+        paper, oracle = paper_expansion(a2, b), expand_product(a2, b)
+        entries.append(ErrataEntry(
+            location, KIND_EXPANSION, None, None, f"|{a2}⟩|{b}⟩",
+            classify_expansion(paper, oracle), "", paper, oracle,
+        ))
+    for kind, source, paper_of, classify, equation in (
+        (KIND_PREMEASURE, _PREMEASURE_SRC, paper_premeasure, classify_ket, "10"),
+        (KIND_GATE, _GATE_SRC, paper_gate, classify_gate, "11"),
     ):
-        for key, entry in _ENTRIES[kind].items():
-            oracle = oracle_of(*key)
-            entries.append(_errata(entry, classify(entry.value, oracle), oracle))
-    entries.extend(_errata(anomaly, LABEL_ANOMALY) for anomaly in _ANOMALIES)
+        for i, rows in source.items():
+            for k, (label, _, _, notes) in enumerate(rows):
+                if i == 0:
+                    location = f"Eq. ({equation}{_EQ_LETTERS[k]})"
+                else:
+                    location = f"Appendix ({_ROMAN[i - 1]}), {label}"
+                paper, oracle = paper_of(i, k), engine.derive_gate(i, k)
+                entries.append(ErrataEntry(
+                    location, kind, i, k, label, classify(paper, oracle), notes,
+                    paper, oracle,
+                ))
+    entries.extend(
+        ErrataEntry(location, KIND_LABEL, None, None, label, LABEL_ANOMALY, notes)
+        for location, label, notes in _DOCUMENT_ANOMALIES
+    )
 
     summary = {name: 0 for name in DISCREPANCY_CLASSES}
     for e in entries:

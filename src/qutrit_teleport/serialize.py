@@ -24,9 +24,7 @@ from .basis import ExpansionRow
 from .exact import _KEYS as _SCALAR_KEYS, ExtScalar
 from .linalg import Operator3
 from .published import (
-    KIND_EXPANSION,
     KIND_GATE,
-    KIND_LABEL,
     KIND_PREMEASURE,
     ErrataEntry,
     ErrataReport,
@@ -163,11 +161,7 @@ def _entry_value_to_obj(e: ErrataEntry, value, provenance: str) -> Optional[obje
         return gate_to_obj(value, (e.channel, e.outcome), provenance)
     if e.kind == KIND_PREMEASURE:
         return premeasure_to_obj(value)
-    if e.kind == KIND_EXPANSION:
-        return expansion_to_obj(value)
-    if e.kind == KIND_LABEL:
-        return None
-    raise ValueError(f"unknown entry kind {e.kind!r}")
+    return expansion_to_obj(value)
 
 
 def errata_to_obj(report: ErrataReport) -> dict:

@@ -399,45 +399,35 @@ def _run_columns(channel, trials, master_seed, input_state, haar, use_paper_gate
             f = memo[row, k] = analysis.overlap(phis[row], gates[k], rec)
         fidelities.append(f)
 
+    if haar:
+        # Averaging the Born rule over the uniform state distribution
+        # replaces |phi><phi| with I/3.
+        drawn_from = effects.trace(axis1=1, axis2=2) / 3.0
+    else:
+        drawn_from = weights[0]  # the one fixed input's Born weights
     summary = summarize(
         channel,
         outcomes,
         [f for f in fidelities if f is not None],
-        fixed_phi=fixed_phi,
-        haar=haar,
-        use_paper_gates=use_paper_gates,
+        drawn_from / drawn_from.sum(),
     )
     return summary, (phis, rows, seeds, outcomes, weights[rows, outcomes], fidelities)
-
-
-def _expected_distribution(
-    channel: int, fixed_phi: Optional[np.ndarray], haar: bool, use_paper_gates: bool
-) -> np.ndarray:
-    effects = analysis.numeric_channel(channel, use_paper_gates).effects
-    if haar:
-        # Averaging the Born rule over the uniform state distribution
-        # replaces |phi><phi| with I/3.
-        p = effects.trace(axis1=1, axis2=2) / 3.0
-    else:
-        p = analysis.born_weights(effects, fixed_phi)
-    return p / p.sum()
 
 
 def summarize(
     channel: int,
     outcomes: np.ndarray,
     fidelities: Sequence[float],
-    fixed_phi: Optional[np.ndarray] = None,
-    haar: bool = False,
-    use_paper_gates: bool = False,
+    expected: np.ndarray,
 ) -> BatchSummary:
-    """Summary of a batch from its outcome column and, in trial order, the
-    fidelity of every trial that applied a recovery."""
+    """Summary of a batch from its outcome column, the fidelity of every
+    trial that applied a recovery (in trial order), and `expected`, the
+    normalized outcome distribution the batch drew from: the Born weights
+    of the fixed input, or their average over Haar inputs."""
     n = len(outcomes)
     counts = np.bincount(outcomes, minlength=9)
     freqs = counts / n
 
-    expected = _expected_distribution(channel, fixed_phi, haar, use_paper_gates)
     mask = expected > 0
     chi_sq = float(
         (((counts[mask] - n * expected[mask]) ** 2) / (n * expected[mask])).sum()

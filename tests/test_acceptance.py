@@ -46,7 +46,7 @@ def test_criterion_2_basis_inversion():
     for a2 in range(3):
         for b in range(3):
             row = expand_product(a2, b)
-            printed = published.paper_expansion(a2, b).value
+            printed = published.paper_expansion(a2, b)
             ok = ok and all(
                 (p - o).is_zero()
                 for p, o in zip(printed.coefficients, row.coefficients)
@@ -69,12 +69,12 @@ def test_criterion_4_paper_agreement_and_errata():
 
     # exact agreement where the source is self-consistent
     main_text = all(
-        published.paper_gate(0, k).value == engine.derive_gate(0, k)
+        published.paper_gate(0, k) == engine.derive_gate(0, k)
         for k in (0, 1, 2, 4, 5, 7)
     )
     appendix_i = all(
-        published.paper_gate(1, k).value == engine.derive_gate(1, k)
-        and published.paper_premeasure(1, k).value == engine.derive_gate(1, k)
+        published.paper_gate(1, k) == engine.derive_gate(1, k)
+        and published.paper_premeasure(1, k) == engine.derive_gate(1, k)
         for k in range(9)
     )
 

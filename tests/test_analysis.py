@@ -144,7 +144,7 @@ def test_numeric_channel_is_the_float_view_of_the_exact_gates(use_paper_gates):
         assert not gates.flags.writeable and not effects.flags.writeable
         for k in range(9):
             exact = (
-                published.paper_gate(i, k).value
+                published.paper_gate(i, k)
                 if use_paper_gates
                 else engine.derive_gate(i, k)
             )

@@ -55,6 +55,9 @@ def test_index_range():
         entangled_state(9)
     with pytest.raises(ValueError):
         entangled_state(-1)
+    for index in (-1, 9):
+        with pytest.raises(ValueError, match=f"index {index} out of range 0..8"):
+            family_of(index)
 
 
 def test_each_state_normalized_exactly():

@@ -113,7 +113,7 @@ def test_residual_zero_for_all_oracle_gates():
 def test_residual_with_printed_gate_0_3():
     # the printed gate flips the sign of the second diagonal term relative
     # to its own pre-measurement state; the residual is (2/sqrt6) c2 |2>
-    delta = engine.delta_qt(0, 3, paper_gate(0, 3).value)
+    delta = engine.delta_qt(0, 3, paper_gate(0, 3))
     for b in range(3):
         for j in range(3):
             if (b, j) != (2, 2):

@@ -34,13 +34,18 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def _probe(commands, statement="pass"):
+def _run(script, *args):
+    """The JSON that `script` prints, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=_SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands), statement],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def _probe(commands, statement="pass"):
+    return _run(_PROBE, json.dumps(commands), statement)
 
 
 @pytest.mark.parametrize(
@@ -67,6 +72,30 @@ def test_exact_subcommands_load_neither_numpy_nor_scipy(commands, tmp_path):
     table = str(tmp_path / "table.json")
     argvs = [[arg.format(table=table) for arg in argv] for argv in commands]
     assert _probe(argvs) == {"codes": [0] * len(argvs), "loaded": []}
+
+
+# Runs the cli.main argv lists given as JSON in argv[1], printing after each
+# how many printed values each of the three `published` lookups has cached.
+_CACHE_PROBE = """
+import contextlib, io, json, sys
+from qutrit_teleport import cli, published
+lookups = (published.paper_premeasure, published.paper_gate, published.paper_expansion)
+sizes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        assert cli.main(argv) == 0
+        sizes.append([f.cache_info().currsize for f in lookups])
+print(json.dumps(sizes))
+"""
+
+
+def test_transcription_is_read_only_by_compare(tmp_path):
+    commands = [
+        ["basis"], ["derive"], ["verify"], ["analyze"],
+        ["export", "--out", str(tmp_path / "table.json")], ["compare"],
+    ]
+    sizes = _run(_CACHE_PROBE, json.dumps(commands))
+    assert sizes == [[0, 0, 0]] * 5 + [[81, 81, 9]]
 
 
 def test_simulate_loads_numpy_but_not_scipy():

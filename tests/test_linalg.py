@@ -56,8 +56,8 @@ def test_extract_gate_examples():
     # where the source prints a state and its gate consistently, the two
     # transcriptions (built from different term conventions) are equal
     for k in (0, 1, 2, 4, 5, 7):
-        assert paper_premeasure(0, k).value == paper_gate(0, k).value
-    grid = paper_premeasure(0, 1).value
+        assert paper_premeasure(0, k) == paper_gate(0, k)
+    grid = paper_premeasure(0, 1)
     assert grid.entry(0, 1) == INV_SQRT6
     assert grid.entry(1, 0) == INV_SQRT6
     assert grid.entry(2, 2).is_zero()
@@ -119,6 +119,13 @@ def test_dagger_and_products():
     assert scalar_gate.dagger() @ scalar_gate == Operator3.identity().scaled(
         rational(1, 9)
     )
+
+
+def test_identity_is_one_shared_constant():
+    assert Operator3.identity() is Operator3.identity()
+    built = Operator3.from_terms(ONE, ((0, 0, 1), (1, 1, 1), (2, 2, 1)))
+    assert Operator3.identity() == built
+    assert hash(Operator3.identity()) == hash(built)
 
 
 def test_linear_form_zero_iff_all_components_zero():

@@ -41,35 +41,42 @@ EXPECTED_SUMMARY = {
 
 
 def test_transcribed_gate_0_0():
-    assert paper_gate(0, 0).value == Operator3.identity().scaled(rational(1, 3))
+    assert paper_gate(0, 0) == Operator3.identity().scaled(rational(1, 3))
 
 
 def test_transcribed_gate_0_3_keeps_printed_sign_placement():
-    g = paper_gate(0, 3).value
+    g = paper_gate(0, 3)
     assert g.entry(1, 1) == -INV_SQRT6
     assert g.entry(2, 2) == -INV_SQRT6
 
 
 def test_transcribed_premeasure_6_0():
-    grid = paper_premeasure(6, 0).value
+    grid = paper_premeasure(6, 0)
     assert grid.entry(0, 1) == INV_SQRT6
     assert grid.entry(1, 2) == INV_SQRT6
     assert all(grid.entry(2, j).is_zero() for j in range(3))
 
 
 def test_printed_labels_preserved():
-    assert paper_gate(0, 6).printed_label == "λ_0^6"
-    assert paper_gate(1, 0).printed_label == "Λ̂_1^0"
-    assert paper_gate(8, 0).printed_label == "Λ_0^8"
-    assert paper_premeasure(8, 4).printed_label == "s_8^8"
-    assert "position" in paper_premeasure(8, 4).notes
+    report = compare_tables()
+    assert _entry(report, KIND_GATE, 0, 6).printed_label == "λ_0^6"
+    assert _entry(report, KIND_GATE, 1, 0).printed_label == "Λ̂_1^0"
+    assert _entry(report, KIND_GATE, 8, 0).printed_label == "Λ_0^8"
+    assert _entry(report, KIND_PREMEASURE, 8, 4).printed_label == "s_8^8"
+    assert "position" in _entry(report, KIND_PREMEASURE, 8, 4).notes
 
 
 def test_missing_entry_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no printed gate for channel 0, outcome 9"):
         paper_gate(0, 9)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no printed expansion row for"):
         paper_expansion(0, 3)
+    # an index check, not list position -1
+    for i, k in ((-1, 0), (0, -1)):
+        with pytest.raises(KeyError, match=f"channel {i}, outcome {k}"):
+            paper_gate(i, k)
+        with pytest.raises(KeyError, match="no printed pre-measurement state"):
+            paper_premeasure(i, k)
 
 
 def test_every_transcribed_expansion_row_matches_oracle():
@@ -131,7 +138,7 @@ def test_main_text_gates_match_where_self_consistent():
     # outcomes 0, 1, 2, 4, 5, 7 of channel 0 print gates consistent with
     # their own pre-measurement states; the oracle agrees exactly
     for k in (0, 1, 2, 4, 5, 7):
-        assert paper_gate(0, k).value == engine.derive_gate(0, k)
+        assert paper_gate(0, k) == engine.derive_gate(0, k)
 
 
 def test_match_iff_exact_zero_difference():
@@ -178,7 +185,14 @@ def test_transcriptions_are_frozen_constants():
     # repeated lookups hand back the same objects; nothing recomputes
     assert paper_gate(4, 4) is paper_gate(4, 4)
     assert paper_premeasure(2, 2) is paper_premeasure(2, 2)
+    assert paper_expansion(1, 2) is paper_expansion(1, 2)
 
+
+def test_printed_values_are_bare_values():
+    assert isinstance(paper_gate(4, 4), Operator3)
+    assert paper_gate(4, 4) == engine.derive_gate(4, 4)
+    assert isinstance(paper_premeasure(2, 2), Operator3)
+    assert isinstance(paper_expansion(1, 2), ExpansionRow)
 
 def _grid(*terms):
     return Operator3.from_terms(rational(1), terms)
