@@ -1,17 +1,16 @@
 """Command-line interface.
 
 Subcommands: basis, derive, verify, compare, analyze, simulate, export,
-import.  Exit codes: 0 success, 1 usage error, 2 a verification
-subcommand found a violated invariant or mismatch.  Output is written to
-stdout unless --out is given; identical invocations produce byte-identical
-output.
+import.  Exit codes: 0 success, 1 usage error or stdout closed by its
+reader before the output was written, 2 a verification subcommand found a
+violated invariant or mismatch.  Output is written to stdout unless --out
+is given; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import os
 import sys
 from typing import Optional
 
@@ -92,15 +91,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text, out: Optional[str]) -> None:
+    """Write `text`, a string or an iterable of string pieces."""
+    pieces = (text,) if isinstance(text, str) else text
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise _UsageError(f"cannot write {out}: {exc.strerror or exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _parse_state(raw: Optional[str]):
@@ -303,7 +304,7 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--seed must be non-negative")
     state = None if args.haar else _parse_state(args.state)
     try:
-        summary, records = simulate.run_batch_records(
+        summary, columns = simulate.run_batch_columns(
             args.channel,
             args.trials,
             args.seed,
@@ -311,34 +312,17 @@ def _cmd_simulate(args) -> int:
             haar=args.haar,
             use_paper_gates=args.use_paper_gates,
         )
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    if args.format == "json":
-        doc = serialize.simulation_to_obj(
+        pieces = serialize.simulation_pieces(
             summary,
-            records,
+            columns,
             master_seed=args.seed,
             mode="haar" if args.haar else "fixed",
             use_paper_gates=args.use_paper_gates,
+            fmt=args.format,
         )
-        _emit(serialize.dumps_canonical(doc), args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["trial_index", "outcome", "probability", "fidelity", "recovery_applied"]
-        )
-        for idx, rec in enumerate(records):
-            writer.writerow(
-                [
-                    idx,
-                    rec.outcome,
-                    repr(rec.outcome_probability),
-                    "" if rec.fidelity is None else repr(rec.fidelity),
-                    rec.recovery_applied,
-                ]
-            )
-        _emit(buf.getvalue(), args.out)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    _emit(pieces, args.out)
     return EXIT_OK
 
 
@@ -400,9 +384,17 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Python's SIGPIPE
+        # recipe: point stdout at devnull, so the interpreter's final flush
+        # of what is still buffered cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -42,7 +42,8 @@ import numpy as np
 from . import analysis
 
 EVENT_SEQUENCE = ("prepare", "entangle", "joint_measure", "classical_send", "recover")
-_EVENT_LOG = (
+# every trial's event log: (event, party) in protocol order
+EVENT_LOG = (
     ("prepare", "A1"),
     ("entangle", "A2+B"),
     ("joint_measure", "A1+A2"),
@@ -134,7 +135,7 @@ def run_trial(
         recovery_applied=recovery_applied,
         fidelity=fidelity,
         seed=int(seed),
-        event_log=_EVENT_LOG,
+        event_log=EVENT_LOG,
     )
 
 
@@ -302,7 +303,7 @@ def run_batch_records(
     record equals ``run_trial(channel, record.input_state, record.seed,
     use_paper_gates)``.
     """
-    summary, cols = _run_columns(
+    summary, cols = run_batch_columns(
         channel, trials, master_seed, input_state, haar, use_paper_gates
     )
     phis, rows, seeds, outcomes, probabilities, fidelities = cols
@@ -317,7 +318,7 @@ def run_batch_records(
             recovery_applied=f is not None,
             fidelity=f,
             seed=seed,
-            event_log=_EVENT_LOG,
+            event_log=EVENT_LOG,
         )
         for row, seed, k, p, f in zip(
             rows.tolist(), seeds, outcomes.tolist(), probabilities.tolist(), fidelities
@@ -334,19 +335,30 @@ def run_batch(
     haar: bool = False,
     use_paper_gates: bool = False,
 ) -> BatchSummary:
-    summary, _ = _run_columns(
+    summary, _ = run_batch_columns(
         channel, trials, master_seed, input_state, haar, use_paper_gates
     )
     return summary
 
 
-def _run_columns(channel, trials, master_seed, input_state, haar, use_paper_gates):
+def run_batch_columns(
+    channel: int,
+    trials: int,
+    master_seed: int,
+    input_state: Optional[Sequence[complex]] = None,
+    haar: bool = False,
+    use_paper_gates: bool = False,
+) -> Tuple[BatchSummary, tuple]:
     """The whole batch as one columnar pass, trial for trial equal to `run_trial`.
 
     Returns the summary and the columns ``(phis, rows, trial_seeds,
     outcomes, outcome_probabilities, fidelities)``; trial t ran on input
-    ``phis[rows[t]]``, so `phis` has one row per trial in haar mode and a
-    single row shared by every trial in fixed mode.
+    ``phis[rows[t]]``, so `phis` (complex, three amplitudes a row) has one
+    row per trial in haar mode and a single row shared by every trial in
+    fixed mode.  `rows`, `outcomes` and `outcome_probabilities` are arrays;
+    `trial_seeds` is a list of ints and `fidelities` a list holding a float
+    for each trial that applied a recovery and None for the others.
+    `serialize.simulation_pieces` writes these columns as the CLI output.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

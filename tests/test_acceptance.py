@@ -189,18 +189,16 @@ def test_criterion_7_simulation_soundness():
 
 
 def test_criterion_8_reproducibility():
-    argv_summary1, records1 = simulate.run_batch_records(
-        0, 500, master_seed=7, input_state=(1, 0, 0)
-    )
-    argv_summary2, records2 = simulate.run_batch_records(
-        0, 500, master_seed=7, input_state=(1, 0, 0)
-    )
-    doc1 = serialize.dumps_canonical(
-        serialize.simulation_to_obj(argv_summary1, records1, 7, "fixed", False)
-    )
-    doc2 = serialize.dumps_canonical(
-        serialize.simulation_to_obj(argv_summary2, records2, 7, "fixed", False)
-    )
+    def document():
+        summary, columns = simulate.run_batch_columns(
+            0, 500, master_seed=7, input_state=(1, 0, 0)
+        )
+        return "".join(
+            serialize.simulation_pieces(summary, columns, 7, "fixed", False, "json")
+        )
+
+    doc1 = document()
+    doc2 = document()
     byte_identical = doc1 == doc2
 
     gates = {(i, k): engine.derive_gate(i, k) for i in range(9) for k in range(9)}

@@ -1,14 +1,19 @@
 """CLI behavior: exit codes, schemas, determinism, round-trips."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qutrit_teleport import analysis, cli, engine, serialize
+import qutrit_teleport
+from qutrit_teleport import analysis, cli, engine, serialize, simulate
 from qutrit_teleport.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from qutrit_teleport.exact import ONE, rational
 from qutrit_teleport.linalg import Operator3
@@ -233,6 +238,54 @@ def test_simulate_haar_and_custom_state(capsys):
         ],
     )
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_non_finite_column_is_a_usage_error_before_any_output(
+    tmp_path, capsys, monkeypatch, fmt
+):
+    run_batch_columns = simulate.run_batch_columns
+
+    def with_nan(*args, **kwargs):
+        summary, columns = run_batch_columns(*args, **kwargs)
+        probabilities = columns[4].copy()
+        probabilities[1] = float("nan")
+        return summary, (*columns[:4], probabilities, columns[5])
+
+    monkeypatch.setattr(simulate, "run_batch_columns", with_nan)
+    argv = ["simulate", "--channel", "0", "--trials", "3", "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "usage error: the batch holds a non-finite outcome probability,"
+        " which cannot be written\n"
+    )
+    path = tmp_path / "sim.out"
+    code, _, err = run_cli(capsys, [*argv, "--out", str(path)])
+    assert code == EXIT_USAGE and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_simulate_into_a_closed_pipe_ends_without_a_traceback():
+    # 20k haar trials make 17 MB of JSON, far past any pipe buffer, so the
+    # writer is still writing when the reader goes away.
+    env = dict(os.environ, PYTHONPATH=str(Path(qutrit_teleport.__file__).parents[1]))
+    argv = ["simulate", "--channel", "0", "--trials", "20000", "--haar"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qutrit_teleport.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        # stderr is tiny, so waiting before reading it cannot deadlock
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == ""  # no traceback, and no "Exception ignored" line either
+    assert code == EXIT_USAGE
 
 
 def test_simulate_rejects_bad_state(capsys):
