@@ -130,20 +130,7 @@ def _cmd_basis(args) -> int:
     elif args.format == "latex":
         _emit(render.basis_latex(), args.out)
     else:
-        from .basis import entangled_state, family_of
-
-        doc = {
-            "states": [
-                {
-                    "index": i,
-                    "family": family_of(i),
-                    "amplitudes": [a.to_json_obj() for a in entangled_state(i).flat()],
-                }
-                for i in range(9)
-            ],
-            "gram": [[x.to_json_obj() for x in row] for row in gram_matrix()],
-        }
-        _emit(serialize.dumps_canonical(doc), args.out)
+        _emit(serialize.basis_dumps(), args.out)
     return EXIT_OK
 
 
@@ -288,7 +275,7 @@ def _cmd_compare(args) -> int:
 def _cmd_analyze(args) -> int:
     channels = _selected(args)
     if args.format == "json":
-        _emit(serialize.dumps_canonical(render.analysis_obj(channels)), args.out)
+        _emit(serialize.analysis_dumps(channels), args.out)
     else:
         _emit(render.analysis_markdown(channels, args.roman), args.out)
     return EXIT_OK

@@ -8,7 +8,9 @@ gcd(n1, n2, n3, n6, d) == 1 and d > 0 (zero is (0, 0, 0, 0, 1)), so
 structural equality is semantic equality.  Its components q1 = n1/d, ...,
 q6 = n6/d read as `fractions.Fraction`s.  A rational element equals, and
 hashes like, the int or Fraction it embeds, so ``ExtScalar(1) == 1``.
-All operations are pure; instances are immutable and hashable.
+All operations are pure; instances are immutable and hashable.  This
+module is field arithmetic only: the "p/q" JSON wire form of an element
+lives in `serialize` (`scalar_to_obj`, `scalar_from_obj`).
 
 The common printed coefficients map to single components, e.g.
 1/sqrt(6) == sqrt(6)/6 is stored as q6 = 1/6, and 1/(2*sqrt(3)) ==
@@ -17,16 +19,12 @@ sqrt(3)/6 as q3 = 1/6.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 
 _SQRT2_F = 1.4142135623730951
 _SQRT3_F = 1.7320508075688772
 _SQRT6_F = 2.449489742783178
-
-_RATIONAL_RE = re.compile(r"^-?\d+/0*[1-9]\d*$")
-_KEYS = ("q1", "q2", "q3", "q6")
 
 
 def _ratio(x: int | Fraction) -> tuple:
@@ -189,22 +187,6 @@ class ExtScalar:
 
     def __repr__(self) -> str:
         return f"ExtScalar({self})"
-
-    # -- JSON wire form ---------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        """Canonical JSON object: four "p/q" strings."""
-        return {k: f"{q.numerator}/{q.denominator}" for k, q in zip(_KEYS, self._fractions())}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ExtScalar":
-        comps = []
-        for key in _KEYS:
-            raw = obj[key]
-            if not isinstance(raw, str) or not _RATIONAL_RE.match(raw):
-                raise ValueError(f"malformed rational literal for {key}: {raw!r}")
-            comps.append(Fraction(raw))
-        return cls(*comps)
 
 
 def rational(p: int, q: int = 1) -> ExtScalar:

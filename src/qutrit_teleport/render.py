@@ -1,7 +1,8 @@
 """Plain-text, Markdown and LaTeX renderers for CLI output.
 
 Rendering is purely presentational; every number passes through the exact
-layer first.  The LaTeX gate table mirrors the printed teleportation-table
+layer first.  JSON is not rendered here: every JSON document, the analyze
+and basis documents included, is built by `serialize`.  The LaTeX gate table mirrors the printed teleportation-table
 layout (channel basis state, pre-measurement state, gate, residual,
 classification) so a regenerated table can be diffed against the original
 side by side.
@@ -298,33 +299,3 @@ def analysis_markdown(channels, roman: bool = False) -> str:
             )
         lines.append("")
     return "\n".join(lines) + "\n"
-
-
-def analysis_obj(channels) -> dict:
-    out = {"channels": []}
-    for i in channels:
-        complete = analysis.completeness(i) == Operator3.identity()
-        census = analysis.channel_census(i)
-        gates = []
-        for k, p in enumerate(analysis.channel_profiles(i)):
-            gates.append(
-                {
-                    "outcome": k,
-                    "frobenius_norm_sq": p.frobenius_norm_sq.to_json_obj(),
-                    "frobenius_norm_sq_float": float(p.frobenius_norm_sq),
-                    "unitarity_deviation_sq": p.unitarity_deviation_sq.to_json_obj(),
-                    "unitarity_deviation_sq_float": float(p.unitarity_deviation_sq),
-                    "scaled_unitarity_deviation_sq": p.scaled_unitarity_deviation_sq.to_json_obj(),
-                    "rank": p.rank,
-                    "classification": p.classification,
-                }
-            )
-        out["channels"].append(
-            {
-                "channel": i,
-                "completeness_is_identity": complete,
-                "census": census,
-                "gates": gates,
-            }
-        )
-    return out

@@ -5,10 +5,13 @@ indent, UTF-8, trailing newline, no timestamps, so identical invocations
 produce byte-identical documents.  Exact scalars travel as "p/q" strings,
 so export/import round-trips are exact, not approximate.
 
-This is the only module that knows the gate wire form.  A gate in memory is
-a bare `Operator3`; its (channel, outcome) is the key it is stored under,
-and the gate object written here adds that key and a provenance string
-("oracle" for a derived gate, "paper" for a transcribed one).
+This is the only module that builds a JSON document or reads one: the
+scalar form (`scalar_to_obj`, `scalar_from_obj`), the gate table, the
+errata report, the basis and analyze documents and the simulate output.
+A gate in memory is a bare `Operator3`; its (channel, outcome) is the key
+it is stored under, and the gate object written here adds that key and a
+provenance string ("oracle" for a derived gate, "paper" for a transcribed
+one).
 
 `simulate`'s output, JSON or CSV, is written by `simulation_pieces`
 straight from the batch columns, in pieces of a thousand trials: the
@@ -23,12 +26,16 @@ report, batch summary) ship with the package under ``schemas/``.
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import asdict
+from fractions import Fraction
 from importlib import resources
 from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .basis import ExpansionRow
-from .exact import _KEYS as _SCALAR_KEYS, ExtScalar
+from . import analysis
+from .basis import ExpansionRow, entangled_state, family_of, gram_matrix
+from .exact import ExtScalar
 from .linalg import Operator3
 from .published import (
     KIND_GATE,
@@ -58,11 +65,30 @@ def _check_keys(obj: dict, keys: tuple, what: str) -> None:
             raise ValueError(f"unknown {what} key {key!r}")
 
 
+_SCALAR_KEYS = ("q1", "q2", "q3", "q6")
+# The schema's "p/q" pattern with a nonzero denominator.  [0-9], not \d,
+# which also matches digits of other scripts; fullmatch, not $, which also
+# matches before a trailing newline.
+_RATIONAL_RE = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
+
+
+def scalar_to_obj(x: ExtScalar) -> dict:
+    """The canonical scalar object: four "p/q" strings, one per component."""
+    return {
+        key: f"{q.numerator}/{q.denominator}"
+        for key, q in zip(_SCALAR_KEYS, (x.q1, x.q2, x.q3, x.q6))
+    }
+
+
 def scalar_from_obj(obj: dict) -> ExtScalar:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a scalar object, got {type(obj).__name__}")
     _check_keys(obj, _SCALAR_KEYS, "scalar")
-    return ExtScalar.from_json_obj(obj)
+    for key in _SCALAR_KEYS:
+        raw = obj[key]
+        if not isinstance(raw, str) or not _RATIONAL_RE.fullmatch(raw):
+            raise ValueError(f"malformed rational literal for {key}: {raw!r}")
+    return ExtScalar(*(Fraction(obj[key]) for key in _SCALAR_KEYS))
 
 
 def premeasure_to_obj(grid: Operator3) -> dict:
@@ -72,7 +98,7 @@ def premeasure_to_obj(grid: Operator3) -> dict:
         "site": "B",
         "constant": False,
         "amplitudes": [
-            {f"c{j}": grid.entry(b, j).to_json_obj() for j in range(3)}
+            {f"c{j}": scalar_to_obj(grid.entry(b, j)) for j in range(3)}
             for b in range(3)
         ],
     }
@@ -89,7 +115,7 @@ def gate_to_obj(g: Operator3, key: tuple, provenance: str) -> dict:
         "channel": channel,
         "outcome": outcome,
         "provenance": provenance,
-        "entries": [[g.entry(r, c).to_json_obj() for c in range(3)] for r in range(3)],
+        "entries": [[scalar_to_obj(g.entry(r, c)) for c in range(3)] for r in range(3)],
     }
 
 
@@ -120,8 +146,56 @@ def expansion_to_obj(row: ExpansionRow) -> dict:
     return {
         "a2": row.a2,
         "b": row.b,
-        "coefficients": [c.to_json_obj() for c in row.coefficients],
+        "coefficients": [scalar_to_obj(c) for c in row.coefficients],
     }
+
+
+# -- basis and analysis documents ---------------------------------------------
+
+
+def basis_dumps() -> str:
+    """`basis --format json`: the nine entangled states and their Gram matrix."""
+    return dumps_canonical({
+        "states": [
+            {
+                "index": i,
+                "family": family_of(i),
+                "amplitudes": [scalar_to_obj(a) for a in entangled_state(i).flat()],
+            }
+            for i in range(9)
+        ],
+        "gram": [[scalar_to_obj(x) for x in row] for row in gram_matrix()],
+    })
+
+
+def analysis_dumps(channels) -> str:
+    """`analyze --format json`: per channel, the completeness verdict, the
+    gate census and each gate's profile, exact and as floats."""
+    identity = Operator3.identity()
+    return dumps_canonical({
+        "channels": [
+            {
+                "channel": i,
+                "completeness_is_identity": analysis.completeness(i) == identity,
+                "census": analysis.channel_census(i),
+                "gates": [
+                    {
+                        "outcome": k,
+                        "frobenius_norm_sq": scalar_to_obj(p.frobenius_norm_sq),
+                        "frobenius_norm_sq_float": float(p.frobenius_norm_sq),
+                        "unitarity_deviation_sq": scalar_to_obj(p.unitarity_deviation_sq),
+                        "unitarity_deviation_sq_float": float(p.unitarity_deviation_sq),
+                        "scaled_unitarity_deviation_sq":
+                            scalar_to_obj(p.scaled_unitarity_deviation_sq),
+                        "rank": p.rank,
+                        "classification": p.classification,
+                    }
+                    for k, p in enumerate(analysis.channel_profiles(i))
+                ],
+            }
+            for i in channels
+        ]
+    })
 
 
 # -- gate table --------------------------------------------------------------
@@ -196,20 +270,6 @@ def errata_dumps(report: ErrataReport) -> str:
 
 
 # -- simulation ----------------------------------------------------------------
-
-
-def summary_to_obj(s: BatchSummary) -> dict:
-    return {
-        "channel": s.channel,
-        "trials": s.trials,
-        "empirical_outcome_frequencies": list(s.empirical_outcome_frequencies),
-        "mean_fidelity_invertible": s.mean_fidelity_invertible,
-        "singular_outcome_rate": s.singular_outcome_rate,
-        "chi_square_vs_born": s.chi_square_vs_born,
-        "chi_square_dof": s.chi_square_dof,
-        "chi_square_threshold": s.chi_square_threshold,
-        "chi_square_flagged": s.chi_square_flagged,
-    }
 
 
 # Marks where a value goes in a document rendered by `dumps_canonical`; the
@@ -297,7 +357,7 @@ def simulation_pieces(
         "master_seed": master_seed,
         "mode": mode,
         "use_paper_gates": use_paper_gates,
-        "summary": summary_to_obj(summary),
+        "summary": asdict(summary),
         "trial_log": _SLOT,
     }
     head, tail = dumps_canonical(doc).split(_SLOT_TEXT)

@@ -146,13 +146,6 @@ def haar_state(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def trial_seeds(master_seed: int, n: int) -> list:
-    """Per-trial (state_seed, trial_seed) pairs: the two words of
-    ``SeedSequence(master_seed).spawn(n)[t].generate_state(2, np.uint64)``."""
-    state_seeds, seeds = _seed_columns(master_seed, n)
-    return list(zip(state_seeds.tolist(), seeds.tolist()))
-
-
 # -- numpy's seeding as column arithmetic ---------------------------------------
 #
 # SeedSequence and PCG64 seeding are fixed algorithms (NumPy NEP 19;
@@ -217,11 +210,12 @@ def _generate_state(pool, n_words):
     return [lo | hi << 32 for lo, hi in zip(halves[0::2], halves[1::2])]
 
 
-def _seed_columns(master_seed, n):
-    """(state_seeds, trial_seeds) uint64 columns of
-    ``SeedSequence(master_seed).spawn(n)``.  Child t hashes the master's
-    words, zero-padded to the pool size, and then t, so only that last step
-    runs over a column."""
+def trial_seeds(master_seed: int, n: int) -> list:
+    """The per-trial (state_seeds, trial_seeds) uint64 columns: row t holds
+    the two words of
+    ``SeedSequence(master_seed).spawn(n)[t].generate_state(2, np.uint64)``.
+    Child t hashes the master's words, zero-padded to the pool size, and
+    then t, so only that last step runs over a column."""
     master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError("expected non-negative integer")
@@ -369,7 +363,7 @@ def run_batch_columns(
         raise ValueError(f"channel index {channel} out of range 0..8")
     gates, effects, recoveries = analysis.numeric_channel(channel, use_paper_gates)
 
-    state_seeds, seed_column = _seed_columns(master_seed, trials)
+    state_seeds, seed_column = trial_seeds(master_seed, trials)
     if haar:
         # one draw per trial: the norm inside haar_state goes through BLAS,
         # which a batched norm does not reproduce bit for bit; one generator

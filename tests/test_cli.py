@@ -471,6 +471,20 @@ def test_import_malformed_table_exits_2_with_one_line(tmp_path, capsys, content)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "literal", ["\u0663/4", "1/2\n"], ids=["arabic-indic-digit", "trailing-newline"]
+)
+def test_import_rejects_a_literal_the_schema_pattern_rejects(tmp_path, capsys, literal):
+    # The schema's ECMA-262 pattern ^-?[0-9]+/[0-9]+$ rejects both; Python's
+    # \d and $ would read them as 3/4 and 1/2
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_gate_doc(entries=[[_scalar(literal)] * 3] * 3)))
+    code, out, err = run_cli(capsys, ["import", str(path)])
+    assert code == EXIT_VIOLATION
+    assert out == ""
+    assert err == f"malformed gate table: malformed rational literal for q1: {literal!r}\n"
+
+
 def test_import_null_tag_names_the_rule_beyond_the_schema(tmp_path, capsys):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(_gate_doc(outcome=None)))

@@ -21,6 +21,7 @@ from qutrit_teleport.exact import (
     ExtScalar,
     rational,
 )
+from qutrit_teleport.serialize import scalar_from_obj, scalar_to_obj
 
 
 def random_scalar(rng, bound=30):
@@ -155,20 +156,21 @@ def test_equality_is_componentwise():
 
 
 def test_json_roundtrip_and_canonical_form():
-    obj = INV_SQRT6.to_json_obj()
+    obj = scalar_to_obj(INV_SQRT6)
     assert obj == {"q1": "0/1", "q2": "0/1", "q3": "0/1", "q6": "1/6"}
-    assert ExtScalar.from_json_obj(obj) == INV_SQRT6
-    negative = rational(-2, 3).to_json_obj()
+    assert scalar_from_obj(obj) == INV_SQRT6
+    negative = scalar_to_obj(rational(-2, 3))
     assert negative["q1"] == "-2/3"
-    assert ExtScalar.from_json_obj(negative) == rational(-2, 3)
+    assert scalar_from_obj(negative) == rational(-2, 3)
 
 
 def test_json_rejects_malformed_literals():
-    for literal in ("1.5", "1/0", "-3/00"):
-        with pytest.raises(ValueError):
-            ExtScalar.from_json_obj({"q1": literal, "q2": "0/1", "q3": "0/1", "q6": "0/1"})
+    # the schema's pattern is ASCII digits only and anchored at the very end
+    for literal in ("1.5", "1/0", "-3/00", "\u0663/4", "1/1\u0662", "1/2\n"):
+        with pytest.raises(ValueError, match="malformed rational literal"):
+            scalar_from_obj({"q1": literal, "q2": "0/1", "q3": "0/1", "q6": "0/1"})
     leading_zero = {"q1": "3/04", "q2": "0/1", "q3": "0/1", "q6": "0/1"}
-    assert ExtScalar.from_json_obj(leading_zero) == rational(3, 4)
+    assert scalar_from_obj(leading_zero) == rational(3, 4)
 
 
 _small = st.fractions(
@@ -269,7 +271,7 @@ def _assert_matches(x, ref):
     assert (x.q1, x.q2, x.q3, x.q6) == ref.q
     assert all(type(q) is Fraction for q in (x.q1, x.q2, x.q3, x.q6))
     assert str(x) == str(ref)
-    assert x.to_json_obj() == ref.to_json_obj()
+    assert scalar_to_obj(x) == ref.to_json_obj()
     assert float(x) == float(ref)  # bit for bit
     assert hash(x) == hash(ref)
 

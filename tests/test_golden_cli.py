@@ -38,6 +38,10 @@ GOLDEN = [
      "5552f3e42a89eff4df44287684841a9373ddd56f3529e1e53b785e16e645e7cf"),
     (["analyze", "--format", "json"],
      "64eccae3bccdf3dc3d966c671091c59bf888a43730e55c0f5c264cdd16e13676"),
+    (["analyze", "--channel", "8", "--format", "json"],
+     "f9dab07e8534ad627016ec8b52e93390c144a8385f39854fa2aadc5c1e7584c0"),
+    (["derive", "--channel", "3", "--outcome", "5", "--format", "json"],
+     "63e342fc386f579b7ffd21e343f591169cdcc8515fbe8c72ff0a523a96128b80"),
     (["export"],
      "9dfe918cb09640ee85fc0a23706bce0730df6efa0870572e68c02e48100f2c56"),
     (["verify"],

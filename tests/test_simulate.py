@@ -80,9 +80,17 @@ def test_stored_trial_seed_replays_the_trial():
         assert run_trial(rec.channel, rec.input_state, rec.seed) == rec
 
 
+def _seed_pairs(master_seed, n):
+    """Row t of the two `trial_seeds` columns as a (state_seed, trial_seed) pair."""
+    state_seeds, seeds = trial_seeds(master_seed, n)
+    assert state_seeds.dtype == seeds.dtype == np.uint64
+    assert len(state_seeds) == len(seeds) == n
+    return list(zip(state_seeds.tolist(), seeds.tolist()))
+
+
 def test_trial_seed_derivation_is_stable():
-    assert trial_seeds(123, 3) == trial_seeds(123, 3)
-    assert trial_seeds(123, 3) != trial_seeds(124, 3)
+    assert _seed_pairs(123, 3) == _seed_pairs(123, 3)
+    assert _seed_pairs(123, 3) != _seed_pairs(124, 3)
 
 
 def test_frequencies_sum_to_one():
@@ -217,7 +225,7 @@ def test_trial_seeds_equal_seed_sequence_spawn(master):
         tuple(int(w) for w in child.generate_state(2, np.uint64))
         for child in np.random.SeedSequence(master).spawn(300)
     ]
-    assert trial_seeds(master, 300) == expected
+    assert _seed_pairs(master, 300) == expected
 
 
 def test_spawn_hash_over_the_whole_32_bit_index_range():
@@ -242,7 +250,7 @@ def test_first_raw_word_equals_pcg64_random_raw():
 
 
 def test_haar_generator_states_equal_pcg64_state():
-    state_seeds, _ = simulate._seed_columns(2024, 400)
+    state_seeds, _ = trial_seeds(2024, 400)
     seeds = np.concatenate([np.array(_EDGE_SEEDS, dtype=np.uint64), state_seeds])
     expected = [np.random.PCG64(s).state for s in seeds.tolist()]
     assert list(simulate._pcg64_states(seeds)) == expected

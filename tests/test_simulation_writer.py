@@ -2,7 +2,9 @@
 
 The oracle below is the record-and-dict path the CLI used before it wrote
 from the batch columns: every trial as a `TrialRecord`, then a dict, then
-`dumps_canonical` for JSON, and `csv.writer` for CSV.  The writer must
+`dumps_canonical` for JSON, and `csv.writer` for CSV.  The summary is
+spelled out field by field, as the writer once did before it took
+`dataclasses.asdict`.  The writer must
 reproduce its bytes for every batch, real or synthetic.
 """
 
@@ -33,6 +35,20 @@ def trial_to_obj(t: TrialRecord) -> dict:
     }
 
 
+def summary_to_obj(s: BatchSummary) -> dict:
+    return {
+        "channel": s.channel,
+        "trials": s.trials,
+        "empirical_outcome_frequencies": list(s.empirical_outcome_frequencies),
+        "mean_fidelity_invertible": s.mean_fidelity_invertible,
+        "singular_outcome_rate": s.singular_outcome_rate,
+        "chi_square_vs_born": s.chi_square_vs_born,
+        "chi_square_dof": s.chi_square_dof,
+        "chi_square_threshold": s.chi_square_threshold,
+        "chi_square_flagged": s.chi_square_flagged,
+    }
+
+
 def simulation_to_obj(summary, records, master_seed, mode, use_paper_gates) -> dict:
     return {
         "channel": summary.channel,
@@ -40,7 +56,7 @@ def simulation_to_obj(summary, records, master_seed, mode, use_paper_gates) -> d
         "master_seed": master_seed,
         "mode": mode,
         "use_paper_gates": use_paper_gates,
-        "summary": serialize.summary_to_obj(summary),
+        "summary": summary_to_obj(summary),
         "trial_log": [trial_to_obj(t) for t in records],
     }
 
