@@ -307,7 +307,7 @@ def expected_fidelities(i: int, phi: Sequence[complex]) -> dict:
             inv_weight += p[k]
             inv_acc += p[k] * fid
     return {
-        "invertible_mass": inv_weight,
-        "mean_fidelity_invertible": (inv_acc / inv_weight) if inv_weight > 0 else None,
-        "mean_fidelity_all_outcomes": all_acc / float(p.sum()),
+        "invertible_mass": float(inv_weight),
+        "mean_fidelity_invertible": float(inv_acc / inv_weight) if inv_weight > 0 else None,
+        "mean_fidelity_all_outcomes": float(all_acc / p.sum()),
     }

@@ -135,34 +135,22 @@ def _cmd_basis(args) -> int:
 
 
 def _selected(args):
-    channels = [args.channel] if args.channel is not None else list(range(9))
-    return channels
+    return [args.channel] if args.channel is not None else list(range(9))
 
 
 def _cmd_derive(args) -> int:
     channels = _selected(args)
+    outcomes = range(9) if args.outcome is None else (args.outcome,)
     if args.format == "json":
-        gates = {}
-        for i in channels:
-            for k in range(9):
-                if args.outcome is not None and k != args.outcome:
-                    continue
-                gates[(i, k)] = engine.derive_gate(i, k)
-        _emit(serialize.gate_table_dumps(gates), args.out)
+        gates = {(i, k): engine.derive_gate(i, k) for i in channels for k in outcomes}
+        text = serialize.gate_table_dumps(gates)
     elif args.format == "latex":
-        _emit(render.derive_latex(channels, args.roman, args.outcome), args.out)
+        text = render.derive_latex(channels, args.roman, outcomes)
+    elif args.channel is not None and args.outcome is not None:
+        text = render.derive_entry_text(args.channel, args.outcome, args.roman)
     else:
-        if args.outcome is not None and args.channel is not None:
-            gate = engine.derive_gate(args.channel, args.outcome)
-            text = (
-                f"Channel {render.channel_name(args.channel, args.roman)}, "
-                f"outcome {args.outcome}\n"
-                f"premeasure = {render.premeasure_text(gate)}\n"
-                f"{render.gate_text(gate)}\n"
-            )
-            _emit(text, args.out)
-        else:
-            _emit(render.derive_text(channels, args.roman, args.outcome), args.out)
+        text = render.derive_text(channels, args.roman, outcomes)
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -2,15 +2,16 @@
 
 Rendering is purely presentational; every number passes through the exact
 layer first.  JSON is not rendered here: every JSON document, the analyze
-and basis documents included, is built by `serialize`.  The LaTeX gate table mirrors the printed teleportation-table
-layout (channel basis state, pre-measurement state, gate, residual,
-classification) so a regenerated table can be diffed against the original
-side by side.
+and basis documents included, is built by `serialize`.
+
+Every sum of terms, in text and in LaTeX, is written by `_sum`, which
+prints ``0`` for an empty one.  The LaTeX gate table mirrors the printed
+teleportation-table layout (channel basis state, pre-measurement state,
+gate, residual, classification) so a regenerated table can be diffed
+against the original side by side.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import analysis, engine
 from .basis import entangled_state, expand_product, family_of, gram_matrix
@@ -25,78 +26,58 @@ def channel_name(i: int, roman: bool = False) -> str:
     return f"{i} ({ROMAN[i]})" if roman else str(i)
 
 
+def _sum(terms, sep: str = " + ") -> str:
+    """`terms` joined by `sep`, or ``0`` for an empty sum."""
+    return sep.join(terms) or "0"
+
+
 # -- scalars -------------------------------------------------------------------
-
-
-def _frac_latex(f: Fraction) -> str:
-    sign = "-" if f < 0 else ""
-    mag = abs(f)
-    if mag.denominator == 1:
-        return f"{sign}{mag.numerator}"
-    return f"{sign}\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
 
 
 def scalar_latex(x: ExtScalar) -> str:
     parts = []
-    for coeff, surd in ((x.q1, None), (x.q2, 2), (x.q3, 3), (x.q6, 6)):
-        if coeff == 0:
-            continue
-        body = _frac_latex(coeff)
-        if surd is not None:
-            if abs(coeff) == 1:
-                body = ("-" if coeff < 0 else "") + f"\\sqrt{{{surd}}}"
+    for coeff, surd in zip(
+        (x.q1, x.q2, x.q3, x.q6), ("", "\\sqrt{2}", "\\sqrt{3}", "\\sqrt{6}")
+    ):
+        if coeff:
+            mag = abs(coeff)
+            if mag.denominator > 1:
+                body = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
             else:
-                body += f"\\sqrt{{{surd}}}"
-        parts.append(body)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+                body = "" if surd and mag == 1 else str(mag)
+            parts.append(f"{'-' if coeff < 0 else '+'}{body}{surd}")
+    return _sum(parts, "").removeprefix("+")
 
 
 # -- kets and gates --------------------------------------------------------------
 
 
 def entangled_state_text(amps) -> str:
-    terms = [
+    return _sum(
         f"({amp})|{flat // 3}⟩|{flat % 3}⟩"
         for flat, amp in enumerate(amps)
         if not amp.is_zero()
-    ]
-    return " + ".join(terms) if terms else "0"
+    )
 
 
 def _form_text(row) -> str:
-    terms = [f"({c})·c{j}" for j, c in enumerate(row) if not c.is_zero()]
-    return " + ".join(terms) if terms else "0"
+    return _sum(f"({c})·c{j}" for j, c in enumerate(row) if not c.is_zero())
 
 
 def premeasure_text(grid: Operator3) -> str:
     """c-linear receiver state from its coefficient grid (row b = |b>)."""
-    terms = [
-        f"[{_form_text(row)}]|{b}⟩"
-        for b, row in enumerate(grid.rows)
-        if not all(c.is_zero() for c in row)
-    ]
-    return " + ".join(terms) if terms else "0"
+    forms = enumerate(map(_form_text, grid.rows))
+    return _sum(f"[{form}]|{b}⟩" for b, form in forms if form != "0")
 
 
 def _form_latex(row) -> str:
-    parts = [
-        f"({scalar_latex(c)})c_{j}" for j, c in enumerate(row) if not c.is_zero()
-    ]
-    return "+".join(parts) if parts else "0"
+    terms = (f"({scalar_latex(c)})c_{j}" for j, c in enumerate(row) if not c.is_zero())
+    return _sum(terms, "+")
 
 
 def premeasure_latex(grid: Operator3) -> str:
-    terms = [
-        f"\\big[{_form_latex(row)}\\big]\\ket{{{b}}}"
-        for b, row in enumerate(grid.rows)
-        if not all(c.is_zero() for c in row)
-    ]
-    return "+".join(terms) if terms else "0"
+    forms = enumerate(map(_form_latex, grid.rows))
+    return _sum((f"\\big[{form}\\big]\\ket{{{b}}}" for b, form in forms if form != "0"), "+")
 
 
 def gate_text(g: Operator3) -> str:
@@ -131,30 +112,22 @@ def basis_text() -> str:
     lines.append("Inversion rows |a2>|b> = sum_i coeff_i |Psi_i>:")
     for a2 in range(3):
         for b in range(3):
-            row = expand_product(a2, b)
-            terms = [
-                f"({c})Psi_{i}"
-                for i, c in enumerate(row.coefficients)
-                if not c.is_zero()
-            ]
-            lines.append(f"  |{a2}>|{b}> = " + " + ".join(terms))
+            row = expand_product(a2, b).coefficients
+            terms = (f"({c})Psi_{i}" for i, c in enumerate(row) if not c.is_zero())
+            lines.append(f"  |{a2}>|{b}> = {_sum(terms)}")
     return "\n".join(lines) + "\n"
 
 
 def basis_latex() -> str:
     lines = ["% entangled basis states", "\\begin{align}"]
     for i in range(9):
-        terms = []
-        for flat, amp in enumerate(entangled_state(i).flat()):
-            if amp.is_zero():
-                continue
-            coeff = scalar_latex(amp)
-            terms.append(
-                f"({coeff})\\ket{{{flat // 3}_{{A_2}}}}\\ket{{{flat % 3}_B}}"
-            )
-        body = "+".join(terms)
+        terms = (
+            f"({scalar_latex(amp)})\\ket{{{flat // 3}_{{A_2}}}}\\ket{{{flat % 3}_B}}"
+            for flat, amp in enumerate(entangled_state(i).flat())
+            if not amp.is_zero()
+        )
         sep = "\\\\" if i < 8 else ""
-        lines.append(f"\\ket{{\\Psi_{{{i}}}}}_{{A_2B}} &= {body} {sep}")
+        lines.append(f"\\ket{{\\Psi_{{{i}}}}}_{{A_2B}} &= {_sum(terms, '+')} {sep}")
     lines.append("\\end{align}")
     return "\n".join(lines) + "\n"
 
@@ -162,29 +135,34 @@ def basis_latex() -> str:
 # -- gate table documents -----------------------------------------------------------
 
 
-def derive_text(channels, roman: bool = False, outcome=None) -> str:
-    outcomes = range(9) if outcome is None else (outcome,)
+def derive_entry_text(i: int, k: int, roman: bool = False) -> str:
+    """One gate on its own: the pre-measurement state and the matrix."""
+    gate = engine.derive_gate(i, k)
+    return (
+        f"Channel {channel_name(i, roman)}, outcome {k}\n"
+        f"premeasure = {premeasure_text(gate)}\n"
+        f"{gate_text(gate)}\n"
+    )
+
+
+def derive_text(channels, roman: bool = False, outcomes=range(9)) -> str:
     lines = []
     for i in channels:
         lines.append(f"Channel {channel_name(i, roman)}")
         for k in outcomes:
             gate = engine.derive_gate(i, k)
             profile = analysis.channel_profiles(i)[k]
-            lines.append(
-                f" outcome {k}: premeasure = {premeasure_text(gate)}"
-            )
+            lines.append(f" outcome {k}: premeasure = {premeasure_text(gate)}")
             lines.append(f"  gate ({profile.classification}, rank {profile.rank}):")
             lines.append(gate_text(gate))
         lines.append("")
     return "\n".join(lines) + "\n"
 
 
-def derive_latex(channels, roman: bool = False, outcome=None) -> str:
-    outcomes = range(9) if outcome is None else (outcome,)
+def derive_latex(channels, roman: bool = False, outcomes=range(9)) -> str:
     lines = []
     for i in channels:
-        title = f"channel {channel_name(i, roman)}"
-        lines.append(f"% teleportation table, {title}")
+        lines.append(f"% teleportation table, channel {channel_name(i, roman)}")
         lines.append("\\begin{tabular}{ccccc}")
         lines.append("\\toprule")
         lines.append(
@@ -194,8 +172,7 @@ def derive_latex(channels, roman: bool = False, outcome=None) -> str:
         for k in outcomes:
             gate = engine.derive_gate(i, k)
             profile = analysis.channel_profiles(i)[k]
-            delta = engine.delta_qt(i, k, gate)
-            delta_tex = "0" if delta.is_zero() else premeasure_latex(delta)
+            delta_tex = premeasure_latex(engine.delta_qt(i, k, gate))
             lines.append(
                 f"$\\ket{{\\Psi_{{{k}}}}}$ & "
                 f"${premeasure_latex(gate)}$ & "

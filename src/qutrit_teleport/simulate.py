@@ -41,7 +41,6 @@ import numpy as np
 
 from . import analysis
 
-EVENT_SEQUENCE = ("prepare", "entangle", "joint_measure", "classical_send", "recover")
 # every trial's event log: (event, party) in protocol order
 EVENT_LOG = (
     ("prepare", "A1"),
@@ -50,6 +49,7 @@ EVENT_LOG = (
     ("classical_send", "A1+A2->B"),
     ("recover", "B"),
 )
+EVENT_SEQUENCE = tuple(name for name, _ in EVENT_LOG)
 # Generator.random() maps a 64-bit word w to (w >> 11) * 2**-53
 _DOUBLE_UNIT = 2.0 ** -53
 

@@ -220,6 +220,14 @@ def test_expected_fidelities_reports_both_figures():
     assert out["invertible_mass"] == pytest.approx(1 / 9 + 2 / 9, abs=1e-12)
 
 
+@pytest.mark.parametrize("channel", [0, 1, 8])
+@pytest.mark.parametrize("phi", [(1, 0, 0), (0.6, 0.8j, 0)])
+def test_expected_fidelities_are_plain_floats(channel, phi):
+    # numpy scalars would leak into JSON writers and reprs downstream
+    figures = analysis.expected_fidelities(channel, phi).values()
+    assert all(type(x) is float for x in figures if x is not None)
+
+
 def test_field_cbrt_monomials():
     # normalization helper: cube roots inside the field when they exist
     assert analysis._field_cbrt(rational(27)) == rational(3)

@@ -42,6 +42,16 @@ GOLDEN = [
      "f9dab07e8534ad627016ec8b52e93390c144a8385f39854fa2aadc5c1e7584c0"),
     (["derive", "--channel", "3", "--outcome", "5", "--format", "json"],
      "63e342fc386f579b7ffd21e343f591169cdcc8515fbe8c72ff0a523a96128b80"),
+    (["derive", "--outcome", "4"],
+     "43d1daddc7ff3d766492afa49c751c094aefe446a468f3abb24cdcf13af7f142"),
+    (["derive", "--format", "latex", "--outcome", "3"],
+     "22ab3da2724a2d67feeeb686cf8178f503db66ba3c1ae379ff9c933d7bf154ce"),
+    (["derive", "--channel", "8", "--roman"],
+     "c14305440f61223baa0b12ece7a623039f7990bd17c6fc531d7632132db66008"),
+    (["derive", "--format", "latex", "--channel", "8", "--roman"],
+     "38f7f3b8f69535d8074e644feaf0313652ce3635df2a660cb3e520fb9bda990c"),
+    (["derive", "--channel", "0", "--outcome", "0", "--roman"],
+     "6760f1e6efe0e6fc8f4e2bae43b18df4a3f36b83936bfbb5384bd69bc5105e02"),
     (["export"],
      "9dfe918cb09640ee85fc0a23706bce0730df6efa0870572e68c02e48100f2c56"),
     (["verify"],

@@ -28,6 +28,7 @@ def test_trial_event_order_respects_causality():
     rec = run_trial(3, KET0, seed=9)
     names = [name for name, _ in rec.event_log]
     assert tuple(names) == EVENT_SEQUENCE
+    assert EVENT_SEQUENCE == ("prepare", "entangle", "joint_measure", "classical_send", "recover")
     assert names.index("recover") > names.index("classical_send")
     assert names.index("classical_send") > names.index("joint_measure")
 
