@@ -12,7 +12,9 @@ over k of G_ik^T G_ik, which callers compare with the identity.
 The numeric layer is the package's one floating-point path, shared with
 `simulate`: `numeric_channel` caches a channel's gates (oracle or printed),
 effects G^T G and recoveries as floats; `born_weights` and `overlap` are
-the Born rule and the post-measurement fidelity.  It imports numpy when
+the Born rule and the post-measurement fidelity, and `normalized` divides
+states by their norm.  Each takes one state or a stack of states and
+gives every row the bits it gives that row alone.  It imports numpy when
 first called, so the exact layer runs without it.
 """
 
@@ -241,16 +243,38 @@ def born_weights(effects: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.clip(np.einsum("...i,kij,...j->...k", v.conj(), effects, v).real, 0.0, None)
 
 
-def overlap(v: np.ndarray, gate: np.ndarray, rec: Optional[np.ndarray]) -> float:
-    """|<v|w>|^2 for w = G v normalized, then mapped back by `rec` if one is given."""
+def normalized(v: np.ndarray) -> np.ndarray:
+    """``v / np.linalg.norm(v)`` for one state (3,), and row by row for a
+    stack (n, 3), bit for bit.
+
+    np.linalg.norm takes a complex vector's squared norm as two BLAS dot
+    products, re·re + im·im.  A stacked matmul of a row by a column hands
+    each row to that same dot; a summed reduction would round differently.
+    """
     import numpy as np
 
-    w = gate @ v
-    w = w / np.linalg.norm(w)
+    re, im = v.real[..., np.newaxis, :], v.imag[..., np.newaxis, :]
+    squared = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return v / np.sqrt(squared[..., 0])
+
+
+def overlap(v: np.ndarray, gate: np.ndarray, rec: Optional[np.ndarray]) -> np.ndarray:
+    """|<v|w>|^2 for w = G v normalized, then mapped back by `rec` if one is given.
+
+    `v` is one state (3,) with (3, 3) matrices, or a stack (n, 3) with
+    (n, 3, 3) stacks; a stack gives n fidelities, each equal bit for bit to
+    the call on that row.  The products are stacked matmuls, and |<v|w>|^2
+    is libm's ``hypot`` then ``pow``, as ``abs(z) ** 2`` computes it on a
+    scalar: numpy's ``abs`` and ``** 2`` on arrays take SIMD paths that
+    round differently.
+    """
+    import numpy as np
+
+    w = normalized((gate @ v[..., np.newaxis])[..., 0])
     if rec is not None:
-        w = rec @ w
-        w = w / np.linalg.norm(w)
-    return float(abs(np.vdot(v, w)) ** 2)
+        w = normalized((rec @ w[..., np.newaxis])[..., 0])
+    z = (v.conj()[..., np.newaxis, :] @ w[..., np.newaxis])[..., 0, 0]
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 def outcome_distribution(i: int, phi: Sequence[complex]) -> np.ndarray:
@@ -281,7 +305,7 @@ def fidelity_after_recovery(i: int, k: int, phi: Sequence[complex]) -> Optional[
         raise ValueError(f"outcome {k} has zero probability for this input state")
     if recoveries[k] is None:
         return None
-    return overlap(v, gates[k], recoveries[k])
+    return float(overlap(v, gates[k], recoveries[k]))
 
 
 def expected_fidelities(i: int, phi: Sequence[complex]) -> dict:

@@ -365,11 +365,19 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except BrokenPipeError:
-        # The reader closed stdout (as `| head` does).  Python's SIGPIPE
-        # recipe: point stdout at devnull, so the interpreter's final flush
-        # of what is still buffered cannot fail a second time.
+    except OSError as exc:
+        # Every file a handler opens reports its own OSError, so writing
+        # stdout failed.  A reader that closed it (as `| head` does) ends the
+        # run silently; anything else (a full disk, say) gets one line.
+        # Python's SIGPIPE recipe: point stdout at devnull, so the
+        # interpreter's final flush of what is still buffered cannot fail a
+        # second time.
+        if not isinstance(exc, BrokenPipeError):
+            sys.stderr.write(f"cannot write output: {exc.strerror or exc}\n")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except MemoryError:
+        sys.stderr.write("out of memory\n")
         return EXIT_USAGE
 
 

@@ -288,6 +288,33 @@ def test_simulate_into_a_closed_pipe_ends_without_a_traceback():
     assert code == EXIT_USAGE
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["simulate", "--channel", "0", "--trials", "2000", "--haar"]],
+    ids=["verify", "simulate"],
+)
+def test_stdout_on_a_full_disk_fails_in_one_line(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(qutrit_teleport.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qutrit_teleport.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    err = proc.stderr.decode()
+    assert err == "cannot write output: No space left on device\n"
+    assert proc.returncode == EXIT_USAGE
+
+
+def test_out_of_memory_fails_in_one_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(simulate, "run_batch_columns", exhausted)
+    code, out, err = run_cli(capsys, ["simulate", "--channel", "0", "--haar"])
+    assert (code, out, err) == (EXIT_USAGE, "", "out of memory\n")
+
+
 def test_simulate_rejects_bad_state(capsys):
     code, _, err = run_cli(
         capsys,

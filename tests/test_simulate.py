@@ -18,6 +18,26 @@ from qutrit_teleport.simulate import (
 KET0 = (1.0, 0.0, 0.0)
 
 
+# -- the per-trial oracles the columnar batch replaced -------------------------
+
+
+def haar_state(rng: np.random.Generator) -> np.ndarray:
+    """Uniform random pure qutrit state (normalized complex Gaussian)."""
+    raw = rng.standard_normal(6)
+    v = raw[0::2] + 1j * raw[1::2]
+    return v / np.linalg.norm(v)
+
+
+def overlap(v, gate, rec):
+    """|<v|w>|^2 for one state: w = G v normalized, then mapped back by `rec`."""
+    w = gate @ v
+    w = w / np.linalg.norm(w)
+    if rec is not None:
+        w = rec @ w
+        w = w / np.linalg.norm(w)
+    return float(abs(np.vdot(v, w)) ** 2)
+
+
 def test_trial_replay_is_identical():
     a = run_trial(0, KET0, seed=424242)
     b = run_trial(0, KET0, seed=424242)
@@ -139,12 +159,23 @@ def test_singular_channel_reports_no_invertible_fidelity():
     assert summary.singular_outcome_rate == 1.0
 
 
-def test_haar_states_are_normalized_and_seeded():
-    rng = np.random.Generator(np.random.PCG64(55))
-    v = simulate.haar_state(rng)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    rng2 = np.random.Generator(np.random.PCG64(55))
-    assert np.allclose(simulate.haar_state(rng2), v)
+def test_haar_states_are_normalized_and_seeded(monkeypatch):
+    # the column draw against the per-trial generator, bit for bit; about
+    # 9% of rows leave the ziggurat's fast path and are redrawn by numpy
+    drawn = np.random.default_rng(55).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    seeds = np.concatenate([np.array(_EDGE_SEEDS, dtype=np.uint64), drawn])
+    redrawn = []
+    states = simulate._pcg64_states
+    monkeypatch.setattr(
+        simulate, "_pcg64_states", lambda s: redrawn.append(len(s)) or states(s)
+    )
+    phis = simulate._haar_inputs(seeds)
+    assert 0.05 < redrawn[0] / len(seeds) < 0.15
+    expected = np.array(
+        [haar_state(np.random.Generator(np.random.PCG64(s))) for s in seeds.tolist()]
+    )
+    assert np.array_equal(phis.view(np.uint64), expected.view(np.uint64))
+    assert np.abs(np.linalg.norm(phis, axis=1) - 1.0).max() < 1e-12
 
 
 def test_paper_gate_mode_runs_deterministically():
@@ -242,12 +273,91 @@ def test_spawn_hash_over_the_whole_32_bit_index_range():
 
 
 def test_first_raw_word_equals_pcg64_random_raw():
-    # seeds below 2**32 hash one entropy word, the others two
+    # seeds below 2**32 hash one entropy word, the others two; the first
+    # word makes a trial's uniform, six make a Haar draw
     drawn = np.random.default_rng(99).integers(0, 2**64, size=100_000, dtype=np.uint64)
     seeds = np.concatenate([np.array(_EDGE_SEEDS, dtype=np.uint64), drawn])
-    raw = simulate._first_raw(*simulate._pcg64_seeded(seeds))
-    expected = [np.random.PCG64(s).random_raw() for s in seeds.tolist()]
-    assert np.array_equal(raw, np.array(expected, dtype=np.uint64))
+    raw = simulate._raw_words(*simulate._pcg64_seeded(seeds), 6)
+    expected = np.array([np.random.PCG64(s).random_raw(6) for s in seeds.tolist()])
+    assert np.array_equal(np.stack(raw, axis=1), expected)
+
+
+# PCG64's 128-bit multiplier and a state that makes chosen output words
+_PCG_MULT = simulate._PCG_MULT[0] << 64 | simulate._PCG_MULT[1]
+
+
+def _state_before(first, second):
+    """A PCG64 state whose next two output words are `first` and `second`:
+    a state s with high word 0 outputs its low word, so step back from s1 =
+    first and choose the increment that steps s1 to s2 = second."""
+    inc = (second - first * _PCG_MULT) % 2**128
+    state = (first - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def test_ziggurat_tables_equal_numpys():
+    # Drive numpy's standard_normal with chosen words.  The word 1<<9 | i
+    # has magnitude 1 on layer i, so its normal is WI[i]; a second word of
+    # 0 makes the slow path's wedge test (uniform 0) return it too.  A word
+    # on the fast path is the only one the draw takes, which a binary
+    # search on the magnitude turns into KI[i].
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+
+    def draw(word):
+        bit_generator.state = _state_before(word, 0)
+        x = rng.standard_normal()
+        return x, bit_generator.state["state"]["state"] == word
+
+    wi = np.array([draw(1 << 9 | i)[0] for i in range(256)])
+    ki = []
+    for i in range(256):
+        lo, hi = 0, 1 << 52  # the least magnitude that leaves the fast path
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if draw(mid << 9 | i)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki.append(lo)
+    assert ki[1] == 0
+    assert simulate._ZIGGURAT_KI.dtype == np.uint64
+    assert simulate._ZIGGURAT_KI.tolist() == ki
+    assert np.array_equal(simulate._ZIGGURAT_WI.view(np.uint64), wi.view(np.uint64))
+
+
+@pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
+@pytest.mark.parametrize("channel", range(9))
+def test_stacked_overlap_and_norm_equal_the_per_state_oracle(channel, use_paper_gates):
+    # 10**4 Haar inputs, each with a uniform outcome, recovered where the
+    # outcome has a recovery and scored un-recovered where it has none
+    phis = simulate._haar_inputs(trial_seeds(channel, 10_000)[0])
+    gates, _, recoveries = analysis.numeric_channel(channel, use_paper_gates)
+    ks = np.random.default_rng(channel).integers(0, 9, size=len(phis))
+    has_rec = np.array([r is not None for r in recoveries])[ks]
+    recs = np.stack([np.zeros((3, 3)) if r is None else r for r in recoveries])
+    got = np.empty(len(phis))
+    got[~has_rec] = analysis.overlap(phis[~has_rec], gates[ks[~has_rec]], None)
+    k = ks[has_rec]
+    got[has_rec] = analysis.overlap(phis[has_rec], gates[k], recs[k])
+    expected = np.array(
+        [overlap(v, gates[k], recoveries[k]) for v, k in zip(phis, ks.tolist())]
+    )
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    # the norm alone, on unnormalized vectors of both kinds
+    for v in (phis * 3.0 - 0.5j, (gates[ks] @ phis[..., np.newaxis])[..., 0]):
+        nonzero = np.linalg.norm(v, axis=1) > 0
+        v = v[nonzero]
+        expected = np.array([row / np.linalg.norm(row) for row in v])
+        assert np.array_equal(
+            analysis.normalized(v).view(np.uint64), expected.view(np.uint64)
+        )
 
 
 def test_haar_generator_states_equal_pcg64_state():
