@@ -7,16 +7,18 @@ machine-readable errata report, analyzes gate non-unitarity and
 completeness, and runs a seeded Monte-Carlo simulation of the three-party
 protocol.
 
-The simulation names (``BatchSummary``, ``TrialRecord``, ``run_batch``,
-``run_trial``) are loaded on first access, so importing the package for
-exact work does not import numpy.
+The errata diff (``compare_tables``) and the simulation names
+(``BatchSummary``, ``TrialRecord``, ``run_batch``, ``run_trial``) are
+loaded on first access, so importing the package for exact work loads
+neither the transcribed tables nor numpy.
 """
+
+from importlib import import_module
 
 from .exact import ExtScalar, rational
 from .linalg import Operator3
 from .basis import ExpansionRow, entangled_state, expand_product
 from .engine import derive_all, derive_gate
-from .published import compare_tables
 from .analysis import GateProfile, profile_gate, recovery
 
 __all__ = [
@@ -40,12 +42,14 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_SIMULATE_NAMES = ("BatchSummary", "TrialRecord", "run_batch", "run_trial")
+# name -> the module that defines it, imported on first access
+_LAZY_NAMES = {
+    "compare_tables": "published",
+    **dict.fromkeys(("BatchSummary", "TrialRecord", "run_batch", "run_trial"), "simulate"),
+}
 
 
 def __getattr__(name):
-    if name in _SIMULATE_NAMES:
-        from . import simulate
-
-        return getattr(simulate, name)
+    if name in _LAZY_NAMES:
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

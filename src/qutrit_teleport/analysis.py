@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from . import engine, published
+from . import engine
 from .exact import ExtScalar
 from .linalg import Operator3
 
@@ -207,6 +207,8 @@ def numeric_channel(i: int, use_paper_gates: bool) -> NumericChannel:
     import numpy as np
 
     if use_paper_gates:
+        from . import published
+
         exact = [published.paper_gate(i, k) for k in range(9)]
     else:
         exact = [engine.derive_gate(i, k) for k in range(9)]

@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional
 
-from . import analysis, engine, published, render, serialize
+from . import analysis, engine
 from . import __version__
 from .basis import expand_product, gram_matrix, projector_sum, reconstruct_product
 from .exact import ONE
@@ -122,15 +122,22 @@ def _parse_state(raw: Optional[str]):
 
 
 # -- subcommand handlers ---------------------------------------------------------
+#
+# A handler imports the output modules (`render`, `serialize`) and the
+# transcription (`published`) only on the branch that uses them, so a cold
+# process loads no more than its subcommand's output needs.
 
 
 def _cmd_basis(args) -> int:
-    if args.format == "text":
-        _emit(render.basis_text(), args.out)
-    elif args.format == "latex":
-        _emit(render.basis_latex(), args.out)
+    if args.format == "json":
+        from . import serialize
+
+        text = serialize.basis_dumps()
     else:
-        _emit(serialize.basis_dumps(), args.out)
+        from . import render
+
+        text = render.basis_text() if args.format == "text" else render.basis_latex()
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -142,14 +149,19 @@ def _cmd_derive(args) -> int:
     channels = _selected(args)
     outcomes = range(9) if args.outcome is None else (args.outcome,)
     if args.format == "json":
+        from . import serialize
+
         gates = {(i, k): engine.derive_gate(i, k) for i in channels for k in outcomes}
         text = serialize.gate_table_dumps(gates)
-    elif args.format == "latex":
-        text = render.derive_latex(channels, args.roman, outcomes)
-    elif args.channel is not None and args.outcome is not None:
-        text = render.derive_entry_text(args.channel, args.outcome, args.roman)
     else:
-        text = render.derive_text(channels, args.roman, outcomes)
+        from . import render
+
+        if args.format == "latex":
+            text = render.derive_latex(channels, args.roman, outcomes)
+        elif args.channel is not None and args.outcome is not None:
+            text = render.derive_entry_text(args.channel, args.outcome, args.roman)
+        else:
+            text = render.derive_text(channels, args.roman, outcomes)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -248,13 +260,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import published
+
     report = published.compare_tables()
     if args.format == "json":
-        _emit(serialize.errata_dumps(report), args.out)
-    elif args.format == "latex":
-        _emit(render.errata_latex(report), args.out)
+        from . import serialize
+
+        text = serialize.errata_dumps(report)
     else:
-        _emit(render.errata_markdown(report, args.roman), args.out)
+        from . import render
+
+        if args.format == "latex":
+            text = render.errata_latex(report)
+        else:
+            text = render.errata_markdown(report, args.roman)
+    _emit(text, args.out)
     if args.fail_on_mismatch and report.mismatches():
         return EXIT_VIOLATION
     return EXIT_OK
@@ -263,15 +283,20 @@ def _cmd_compare(args) -> int:
 def _cmd_analyze(args) -> int:
     channels = _selected(args)
     if args.format == "json":
-        _emit(serialize.analysis_dumps(channels), args.out)
+        from . import serialize
+
+        text = serialize.analysis_dumps(channels)
     else:
-        _emit(render.analysis_markdown(channels, args.roman), args.out)
+        from . import render
+
+        text = render.analysis_markdown(channels, args.roman)
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
     # the only subcommand that needs numpy; the others never import it
-    from . import simulate
+    from . import serialize, simulate
 
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
@@ -302,12 +327,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import serialize
+
     gates = {(i, k): engine.derive_gate(i, k) for i in range(9) for k in range(9)}
     _emit(serialize.gate_table_dumps(gates), args.out)
     return EXIT_OK
 
 
 def _cmd_import(args) -> int:
+    from . import serialize
+
     try:
         with open(args.path, "rb") as fh:
             data = fh.read()

@@ -20,8 +20,10 @@ state of (i, k) *is* G_ik read as a coefficient grid: row b, column j
 holds the coefficient of c_j on |b>.
 
 The paper's identities are checked by an independent route that never
-calls the product: `delta_qt` redoes the 27-entry projection explicitly,
-and `reconstruction_residual` resums the decomposition entry by entry.
+calls the product: `delta_qt` redoes the projection of the 27-entry
+composite, and `reconstruction_residual` resums the decomposition entry
+by entry.  Both sum their products with `linalg._dot`, which adds integer
+numerators and reduces once per entry.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .basis import entangled_state
-from .exact import ZERO
-from .linalg import Operator3
+from .linalg import Operator3, _dot
 
 
 @lru_cache(maxsize=None)
@@ -49,22 +50,21 @@ def derive_all() -> tuple:
 def delta_qt(i: int, k: int, gate: Operator3) -> Operator3:
     """Teleportation residual <Psi_k|_{A1A2}(|phi> (x) |Psi_i>) - gate |phi>.
 
-    Column j is the residual for the input |j>: the projection is summed
-    over all 27 composite entries, flat index 9*a1 + 3*a2 + b.  Zero for
+    Column j is the residual for the input |j>.  Of the 27 composite
+    entries (flat index 9*a1 + 3*a2 + b) the input |j> leaves only those
+    with a1 = j, and projecting them onto Psi_k sums
+    M_k[j][a2] * M_i[a2][b] over a2 for each receiver ket b.  Zero for
     every oracle gate; generally nonzero for transcribed gates that
     disagree with the derivation.
     """
-    m_i = entangled_state(i)
     m_k = entangled_state(k)
-    rows = [[ZERO, ZERO, ZERO] for _ in range(3)]
-    for j in range(3):
-        for flat in range(27):
-            a1, a2, b = flat // 9, (flat // 3) % 3, flat % 3
-            if a1 == j:
-                rows[b][j] = rows[b][j] + m_k.entry(a1, a2) * m_i.entry(a2, b)
-        for b in range(3):
-            rows[b][j] = rows[b][j] - gate.entry(b, j)
-    return Operator3(tuple(tuple(row) for row in rows))
+    columns = tuple(zip(*entangled_state(i).rows))
+    return Operator3(
+        tuple(
+            tuple(_dot(m_k.rows[j], columns[b]) - gate.entry(b, j) for j in range(3))
+            for b in range(3)
+        )
+    )
 
 
 def reconstruction_residual(i: int) -> tuple:
@@ -76,15 +76,15 @@ def reconstruction_residual(i: int) -> tuple:
     exactly when the nine outcomes of channel i resum to its composite.
     """
     m_i = entangled_state(i)
-    pairs = [(entangled_state(k), derive_gate(i, k)) for k in range(9)]
+    states = [entangled_state(k) for k in range(9)]
+    gates = [derive_gate(i, k) for k in range(9)]
     out = []
     for flat in range(27):
         a1, a2, b = flat // 9, (flat // 3) % 3, flat % 3
+        weights = [m_k.entry(a1, a2) for m_k in states]
         row = []
         for j in range(3):
-            acc = -m_i.entry(a2, b) if a1 == j else ZERO
-            for m_k, g in pairs:
-                acc = acc + m_k.entry(a1, a2) * g.entry(b, j)
-            row.append(acc)
+            acc = _dot(weights, (g.entry(b, j) for g in gates))
+            row.append(acc - m_i.entry(a2, b) if a1 == j else acc)
         out.append(tuple(row))
     return tuple(out)

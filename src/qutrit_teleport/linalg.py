@@ -17,12 +17,38 @@ its transpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .exact import ONE, ZERO, ExtScalar
+from .exact import ONE, ZERO, ExtScalar, _reduced
 
 
 def _dot(xs, ys) -> ExtScalar:
-    return sum((x * y for x, y in zip(xs, ys)), ZERO)
+    """sum(x * y for x, y in zip(xs, ys)), reduced once.
+
+    The products are summed as integer numerators over the lcm of their
+    denominators, and zero factors are skipped, so a sum allocates and
+    gcd-reduces one element rather than one per product and partial sum.
+    Every product-sum of the package goes through here: matrix products,
+    `Operator3.frobenius` and the residuals in `engine`.
+    """
+    s1 = s2 = s3 = s6 = 0
+    d = 1
+    for x, y in zip(xs, ys):
+        a1, a2, a3, a6, da = x._n
+        b1, b2, b3, b6, db = y._n
+        if not (a1 or a2 or a3 or a6) or not (b1 or b2 or b3 or b6):
+            continue
+        e = da * db
+        if d % e:
+            f = lcm(d, e) // d
+            s1, s2, s3, s6, d = s1 * f, s2 * f, s3 * f, s6 * f, d * f
+        f = d // e
+        # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
+        s1 += f * (a1 * b1 + 2 * a2 * b2 + 3 * a3 * b3 + 6 * a6 * b6)
+        s2 += f * (a1 * b2 + a2 * b1 + 3 * (a3 * b6 + a6 * b3))
+        s3 += f * (a1 * b3 + a3 * b1 + 2 * (a2 * b6 + a6 * b2))
+        s6 += f * (a1 * b6 + a6 * b1 + a2 * b3 + a3 * b2)
+    return _reduced(s1, s2, s3, s6, d)
 
 
 @dataclass(frozen=True)

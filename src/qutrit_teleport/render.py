@@ -13,11 +13,15 @@ against the original side by side.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from . import analysis, engine
 from .basis import entangled_state, expand_product, family_of, gram_matrix
 from .exact import ExtScalar
 from .linalg import Operator3
-from .published import ErrataReport
+
+if TYPE_CHECKING:
+    from .published import ErrataReport
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 

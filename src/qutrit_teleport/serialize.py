@@ -13,6 +13,17 @@ it is stored under, and the gate object written here adds that key and a
 provenance string ("oracle" for a derived gate, "paper" for a transcribed
 one).
 
+Every document goes through the one encoder, `dumps_canonical`.  The
+functions here that make a document put each `ExtScalar` into it as it
+is; the encoder writes it as a numbered slot string and then fills the
+slot with the scalar's object text, rendered from its integer numerators
+once per distinct value and indent.  `_ratios` spells the "p/q" strings for that
+text and for `scalar_to_obj`.  `scalar_from_obj` reads the four literals
+as integers and reduces them once, with no `Fraction`.  The test suite
+checks both against the `Fraction` forms they replaced.  The errata
+report's `published` names are imported inside `errata_dumps`, so a
+process that writes no errata report never loads the transcription.
+
 `simulate`'s output, JSON or CSV, is written by `simulation_pieces`
 straight from the batch columns, in pieces of a thousand trials: the
 JSON header is `dumps_canonical` around a placeholder trial log, and each
@@ -28,28 +39,79 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict
-from fractions import Fraction
 from importlib import resources
 from itertools import chain, islice, repeat
-from typing import TYPE_CHECKING, Iterator, Optional
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Iterator
 
 from . import analysis
 from .basis import ExpansionRow, entangled_state, family_of, gram_matrix
-from .exact import ExtScalar
+from .exact import ExtScalar, _reduced
 from .linalg import Operator3
-from .published import (
-    KIND_GATE,
-    KIND_PREMEASURE,
-    ErrataEntry,
-    ErrataReport,
-)
 
 if TYPE_CHECKING:
+    from .published import ErrataReport
     from .simulate import BatchSummary
 
 
+# Marks where a value goes in a document rendered by `dumps_canonical`; the
+# encoder writes it as "\u0000", which no other string here contains.
+_SLOT = "\0"
+_SLOT_TEXT = json.dumps(_SLOT)
+# A numbered slot, as the encoder writes it: the `ExtScalar` of that number.
+_SCALAR_SLOT = re.compile(r'"\\u0000([0-9]+)"')
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)``
+    and a newline, with each `ExtScalar` in `obj` written as its
+    `scalar_to_obj` object.
+
+    CPython encodes with `indent` in pure Python, one call per value, so
+    the encoder writes each scalar as one numbered slot string instead of
+    a four-key object.  Each slot is then filled with the scalar's object
+    text, indented as the encoder would have indented it and rendered
+    once per distinct value and indent.  A string of `obj` that reads as
+    a slot (NUL and digits) would be filled too, so it raises ValueError.
+    """
+    numbers = {}
+    slots = 0
+
+    def slot(x):
+        nonlocal slots
+        if not isinstance(x, ExtScalar):
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        slots += 1
+        return f"{_SLOT}{numbers.setdefault(x._n, len(numbers))}"
+
+    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2, default=slot)
+    if numbers:
+        text = _fill_scalars(text, list(numbers), slots)
+    return text + "\n"
+
+
+def _fill_scalars(text: str, values: list, slots: int) -> str:
+    """`text` with each of its `slots` numbered slots replaced by the
+    object text of ``values[number]``, a (n1, n2, n3, n6, d) tuple.  With
+    ``indent=2`` every value starts a line or follows its key, so a slot's
+    object is indented by the leading spaces of its own line."""
+    parts = _SCALAR_SLOT.split(text)
+    if len(parts) != 2 * slots + 1:
+        raise ValueError("a string of the document reads as a scalar slot")
+    filled = {}
+    for at in range(1, len(parts), 2):
+        line = parts[at - 1][parts[at - 1].rfind("\n") + 1:]
+        key = parts[at], len(line) - len(line.lstrip(" "))
+        if key not in filled:
+            number, indent = key
+            pad = "\n" + " " * (indent + 2)
+            fields = ",".join(
+                f'{pad}"{name}": "{ratio}"'
+                for name, ratio in zip(_SCALAR_KEYS, _ratios(values[int(number)]))
+            )
+            filled[key] = "{" + fields + "\n" + " " * indent + "}"
+        parts[at] = filled[key]
+    return "".join(parts)
 
 
 # -- scalars, pre-measurement states, operators --------------------------------
@@ -72,12 +134,20 @@ _SCALAR_KEYS = ("q1", "q2", "q3", "q6")
 _RATIONAL_RE = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
 
 
+def _ratios(n: tuple) -> tuple:
+    """The four components of the element (n1, n2, n3, n6, d) as "p/q"
+    strings in lowest terms, with q > 0 and zero as "0/1"."""
+    d = n[4]
+    out = []
+    for p in n[:4]:
+        g = gcd(p, d)
+        out.append(f"{p // g}/{d // g}")
+    return tuple(out)
+
+
 def scalar_to_obj(x: ExtScalar) -> dict:
     """The canonical scalar object: four "p/q" strings, one per component."""
-    return {
-        key: f"{q.numerator}/{q.denominator}"
-        for key, q in zip(_SCALAR_KEYS, (x.q1, x.q2, x.q3, x.q6))
-    }
+    return dict(zip(_SCALAR_KEYS, _ratios(x._n)))
 
 
 def scalar_from_obj(obj: dict) -> ExtScalar:
@@ -88,7 +158,12 @@ def scalar_from_obj(obj: dict) -> ExtScalar:
         raw = obj[key]
         if not isinstance(raw, str) or not _RATIONAL_RE.fullmatch(raw):
             raise ValueError(f"malformed rational literal for {key}: {raw!r}")
-    return ExtScalar(*(Fraction(obj[key]) for key in _SCALAR_KEYS))
+    # the four "p/q" literals read as the eight ints p1, q1, ..., p6, q6
+    p1, q1, p2, q2, p3, q3, p6, q6 = map(
+        int, "/".join([obj[key] for key in _SCALAR_KEYS]).split("/")
+    )
+    d = lcm(q1, q2, q3, q6)
+    return _reduced(p1 * (d // q1), p2 * (d // q2), p3 * (d // q3), p6 * (d // q6), d)
 
 
 def premeasure_to_obj(grid: Operator3) -> dict:
@@ -97,10 +172,7 @@ def premeasure_to_obj(grid: Operator3) -> dict:
     return {
         "site": "B",
         "constant": False,
-        "amplitudes": [
-            {f"c{j}": scalar_to_obj(grid.entry(b, j)) for j in range(3)}
-            for b in range(3)
-        ],
+        "amplitudes": [{f"c{j}": x for j, x in enumerate(row)} for row in grid.rows],
     }
 
 
@@ -115,7 +187,7 @@ def gate_to_obj(g: Operator3, key: tuple, provenance: str) -> dict:
         "channel": channel,
         "outcome": outcome,
         "provenance": provenance,
-        "entries": [[scalar_to_obj(g.entry(r, c)) for c in range(3)] for r in range(3)],
+        "entries": g.rows,
     }
 
 
@@ -146,7 +218,7 @@ def expansion_to_obj(row: ExpansionRow) -> dict:
     return {
         "a2": row.a2,
         "b": row.b,
-        "coefficients": [scalar_to_obj(c) for c in row.coefficients],
+        "coefficients": row.coefficients,
     }
 
 
@@ -160,11 +232,11 @@ def basis_dumps() -> str:
             {
                 "index": i,
                 "family": family_of(i),
-                "amplitudes": [scalar_to_obj(a) for a in entangled_state(i).flat()],
+                "amplitudes": entangled_state(i).flat(),
             }
             for i in range(9)
         ],
-        "gram": [[scalar_to_obj(x) for x in row] for row in gram_matrix()],
+        "gram": gram_matrix(),
     })
 
 
@@ -181,12 +253,11 @@ def analysis_dumps(channels) -> str:
                 "gates": [
                     {
                         "outcome": k,
-                        "frobenius_norm_sq": scalar_to_obj(p.frobenius_norm_sq),
+                        "frobenius_norm_sq": p.frobenius_norm_sq,
                         "frobenius_norm_sq_float": float(p.frobenius_norm_sq),
-                        "unitarity_deviation_sq": scalar_to_obj(p.unitarity_deviation_sq),
+                        "unitarity_deviation_sq": p.unitarity_deviation_sq,
                         "unitarity_deviation_sq_float": float(p.unitarity_deviation_sq),
-                        "scaled_unitarity_deviation_sq":
-                            scalar_to_obj(p.scaled_unitarity_deviation_sq),
+                        "scaled_unitarity_deviation_sq": p.scaled_unitarity_deviation_sq,
                         "rank": p.rank,
                         "classification": p.classification,
                     }
@@ -201,12 +272,10 @@ def analysis_dumps(channels) -> str:
 # -- gate table --------------------------------------------------------------
 
 
-def gate_table_to_obj(gates: dict) -> dict:
-    return {"gates": [gate_to_obj(gates[key], key, "oracle") for key in sorted(gates)]}
-
-
 def gate_table_dumps(gates: dict) -> str:
-    return dumps_canonical(gate_table_to_obj(gates))
+    return dumps_canonical(
+        {"gates": [gate_to_obj(gates[key], key, "oracle") for key in sorted(gates)]}
+    )
 
 
 def gate_table_loads(text: str) -> dict:
@@ -235,18 +304,19 @@ def gate_table_loads(text: str) -> dict:
 # -- errata report ------------------------------------------------------------
 
 
-def _entry_value_to_obj(e: ErrataEntry, value, provenance: str) -> Optional[object]:
-    if value is None:
-        return None
-    if e.kind == KIND_GATE:
-        return gate_to_obj(value, (e.channel, e.outcome), provenance)
-    if e.kind == KIND_PREMEASURE:
-        return premeasure_to_obj(value)
-    return expansion_to_obj(value)
+def errata_dumps(report: ErrataReport) -> str:
+    from .published import KIND_GATE, KIND_PREMEASURE
 
+    def value_obj(e, value, provenance):
+        if value is None:
+            return None
+        if e.kind == KIND_GATE:
+            return gate_to_obj(value, (e.channel, e.outcome), provenance)
+        if e.kind == KIND_PREMEASURE:
+            return premeasure_to_obj(value)
+        return expansion_to_obj(value)
 
-def errata_to_obj(report: ErrataReport) -> dict:
-    return {
+    return dumps_canonical({
         "summary": dict(report.summary),
         "entries": [
             {
@@ -257,25 +327,17 @@ def errata_to_obj(report: ErrataReport) -> dict:
                 "printed_label": e.printed_label,
                 "discrepancy": e.discrepancy,
                 "notes": e.notes,
-                "paper_value": _entry_value_to_obj(e, e.paper_value, "paper"),
-                "oracle_value": _entry_value_to_obj(e, e.oracle_value, "oracle"),
+                "paper_value": value_obj(e, e.paper_value, "paper"),
+                "oracle_value": value_obj(e, e.oracle_value, "oracle"),
             }
             for e in report.entries
         ],
-    }
-
-
-def errata_dumps(report: ErrataReport) -> str:
-    return dumps_canonical(errata_to_obj(report))
+    })
 
 
 # -- simulation ----------------------------------------------------------------
 
 
-# Marks where a value goes in a document rendered by `dumps_canonical`; the
-# encoder writes it as "\u0000", which no other string here contains.
-_SLOT = "\0"
-_SLOT_TEXT = json.dumps(_SLOT)
 # Trials per piece of text written.  Through a pipe, one write per trial
 # was slower than one per thousand trials in cold 20k-trial runs on a
 # 2-vCPU VM (Python 3.11): CSV 0.294 -> 0.333 s (slower in 10 of 10

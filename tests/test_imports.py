@@ -1,8 +1,11 @@
 """Cold-start contract: each process loads only what its subcommand needs.
 
 The exact subcommands and a bare package import never load numpy or
-scipy; `simulate` loads numpy but never scipy.  Every check runs in a
-fresh interpreter, because this test process has numpy loaded already.
+scipy; `simulate` loads numpy but never scipy.  Within the package, a
+subcommand loads the transcription (`published`), the text renderers
+(`render`) and the JSON layer (`serialize`) only when its output uses
+them.  Every check runs in a fresh interpreter, because this test process
+has all of them loaded already.
 """
 
 import json
@@ -96,6 +99,63 @@ def test_transcription_is_read_only_by_compare(tmp_path):
     ]
     sizes = _run(_CACHE_PROBE, json.dumps(commands))
     assert sizes == [[0, 0, 0]] * 5 + [[81, 81, 9]]
+
+
+# Runs the cli.main argv lists given as JSON in argv[1] (a --version exit
+# is read as its code), then prints the exit codes and which of the
+# package modules that not every subcommand needs ended up in sys.modules.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+from qutrit_teleport import cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+optional = ("published", "render", "serialize", "simulate")
+loaded = [m for m in optional if "qutrit_teleport." + m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+_ALL = {"published", "render", "serialize", "simulate"}
+
+
+@pytest.mark.parametrize(
+    "commands, absent",
+    [
+        ([["--version"]], _ALL),
+        ([["verify"]], _ALL),
+        ([["basis"]], {"published", "serialize"}),
+        ([["derive"]], {"published", "serialize"}),
+        ([["derive", "--channel", "2", "--outcome", "7"]], {"published", "serialize"}),
+        ([["analyze", "--channel", "4"]], {"published", "serialize"}),
+        ([["export", "--out", "{table}"]], {"published", "render"}),
+        ([["export", "--out", "{table}"], ["import", "{table}"]], {"published", "render"}),
+        ([["analyze", "--format", "json"]], {"published", "render"}),
+        ([["simulate", "--channel", "5", "--trials", "50"]], {"published", "render"}),
+        ([["simulate", "--channel", "5", "--trials", "50", "--haar"]], {"published", "render"}),
+    ],
+    ids=[
+        "version", "verify", "basis", "derive", "derive-one-gate", "analyze-channel",
+        "export", "import", "analyze-json", "simulate", "simulate-haar",
+    ],
+)
+def test_a_subcommand_loads_only_the_modules_its_output_uses(commands, absent, tmp_path):
+    table = str(tmp_path / "table.json")
+    argvs = [[arg.format(table=table) for arg in argv] for argv in commands]
+    result = _run(_MODULE_PROBE, json.dumps(argvs))
+    assert result["codes"] == [0] * len(argvs)
+    assert absent.isdisjoint(result["loaded"]), result["loaded"]
+
+
+def test_the_cli_import_loads_the_exact_core():
+    script = (
+        "import json, sys; import qutrit_teleport.cli; "
+        "print(json.dumps([m in sys.modules for m in sys.argv[1:]]))"
+    )
+    core = ("exact", "linalg", "basis", "engine", "analysis")
+    assert _run(script, *(f"qutrit_teleport.{m}" for m in core)) == [True] * len(core)
 
 
 def test_simulate_loads_numpy_but_not_scipy():

@@ -1,16 +1,18 @@
 """The exact 3x3 operator type and the flat index convention."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qutrit_teleport import engine
 from qutrit_teleport.analysis import gate_matrix
 from qutrit_teleport.basis import entangled_state
 from qutrit_teleport.exact import INV_SQRT6, ONE, ZERO, ExtScalar, rational
-from qutrit_teleport.linalg import Operator3
+from qutrit_teleport.linalg import Operator3, _dot
 from qutrit_teleport.published import paper_gate, paper_premeasure
 from qutrit_teleport.render import premeasure_text
 
@@ -152,3 +154,27 @@ def test_ket_dimension_validation():
         Operator3(((ONE, ZERO),) * 3)
     with pytest.raises(ValueError):
         Operator3(((ONE, ZERO, ZERO),) * 2)
+
+
+_HUGE = 2**80
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    st.builds(Fraction, st.integers(-_HUGE, _HUGE), st.integers(1, _HUGE)),
+)
+_elements = st.one_of(
+    st.just(ZERO),
+    st.builds(ExtScalar, _rationals),
+    st.builds(
+        lambda q, surd: ExtScalar(**{surd: q}), _rationals, st.sampled_from(["q2", "q3", "q6"])
+    ),
+    st.builds(ExtScalar, _rationals, _rationals, _rationals, _rationals),
+)
+
+
+@given(st.lists(st.tuples(_elements, _elements), max_size=9))
+def test_dot_equals_the_sum_of_the_products(pairs):
+    got = _dot([x for x, _ in pairs], [y for _, y in pairs])
+    assert got._n == sum((x * y for x, y in pairs), ZERO)._n
+    n1, n2, n3, n6, d = got._n
+    assert d > 0 and math.gcd(n1, n2, n3, n6, d) == 1  # canonical form
