@@ -239,10 +239,26 @@ def born_weights(effects: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     `v` is one state of shape (3,) or a stack of shape (n, 3); a stack gives
     (n, 9) weights, each row equal bit for bit to the call on that row.
+
+    With v = a + ib and real effects, the weight is the written sum over
+    (i, j) in row-major order of ``(a_i * E_ij) * a_j + (b_i * E_ij) * b_j``,
+    accumulated from +0 on real columns.  An (i, j) whose entry is zero in
+    every effect would add only a signed zero, so it is skipped; every
+    effect of the derived and the printed gates is diagonal.
     """
     import numpy as np
 
-    return np.clip(np.einsum("...i,kij,...j->...k", v.conj(), effects, v).real, 0.0, None)
+    a, b = v.real[..., np.newaxis], v.imag[..., np.newaxis]
+    acc = np.zeros(v.shape[:-1] + effects.shape[:1])
+    for i, j in zip(*np.nonzero(effects.any(axis=0))):
+        e = effects[:, i, j]
+        term = a[..., i, :] * e
+        term *= a[..., j, :]
+        imag = b[..., i, :] * e
+        imag *= b[..., j, :]
+        term += imag
+        acc += term
+    return np.clip(acc, 0.0, None, out=acc)
 
 
 def normalized(v: np.ndarray) -> np.ndarray:
@@ -318,20 +334,31 @@ def expected_fidelities(i: int, phi: Sequence[complex]) -> dict:
     construction); `all_outcomes` also scores singular outcomes by the
     overlap of the un-recovered conditional state with the input.
     """
+    import numpy as np
+
     v = as_state(phi)
     gates, effects, recoveries = numeric_channel(i, False)
     p = born_weights(effects, v)
+    occurred = [k for k in range(9) if p[k] > 1e-15]
+    recovered = [k for k in occurred if recoveries[k] is not None]
+    singular = [k for k in occurred if recoveries[k] is None]
+    # one stacked overlap for the recovered outcomes and one for the singular
+    fid = {}
+    if recovered:
+        recs = np.stack([recoveries[k] for k in recovered])
+        stack = np.broadcast_to(v, (len(recovered), 3))
+        fid.update(zip(recovered, overlap(stack, gates[recovered], recs)))
+    if singular:
+        stack = np.broadcast_to(v, (len(singular), 3))
+        fid.update(zip(singular, overlap(stack, gates[singular], None)))
     inv_weight = 0.0
     inv_acc = 0.0
     all_acc = 0.0
-    for k in range(9):
-        if p[k] <= 1e-15:
-            continue
-        fid = overlap(v, gates[k], recoveries[k])
-        all_acc += p[k] * fid
+    for k in occurred:
+        all_acc += p[k] * fid[k]
         if recoveries[k] is not None:
             inv_weight += p[k]
-            inv_acc += p[k] * fid
+            inv_acc += p[k] * fid[k]
     return {
         "invertible_mass": float(inv_weight),
         "mean_fidelity_invertible": float(inv_acc / inv_weight) if inv_weight > 0 else None,

@@ -398,15 +398,23 @@ def simulation_pieces(
     """
     import numpy as np
 
-    phis, rows, seeds, outcomes, probabilities, fidelities = columns
+    from .simulate import trial_fidelities
+
+    phis, rows, seeds, outcomes, probabilities, applied, fidelities = columns
     for name, column in (
         ("input state", phis),
         ("outcome probability", probabilities),
-        ("fidelity", [f for f in fidelities if f is not None]),
+        ("fidelity", fidelities),
     ):
         if not np.isfinite(column).all():
             raise ValueError(f"the batch holds a non-finite {name}, which cannot be written")
-    trials = zip(rows.tolist(), outcomes.tolist(), probabilities.tolist(), fidelities, seeds)
+    trials = zip(
+        rows.tolist(),
+        outcomes.tolist(),
+        probabilities.tolist(),
+        trial_fidelities(len(outcomes), applied, fidelities),
+        seeds.tolist(),
+    )
     if fmt == "csv":
         lines = (
             "%d,%d,%r,%s,%s\n" % (t, k, p, "" if f is None else repr(f), f is not None)

@@ -17,14 +17,18 @@ child of ``SeedSequence(master_seed)`` per trial; each child supplies two
 second seeding the trial itself.  `run_trial` replays any stored trial
 seed bit for bit.  A batch computes numpy's `SeedSequence`/`PCG64`
 seeding arithmetic over columns of trials instead of building those
-objects per trial; the test suite checks it against numpy's own classes,
-and the contract itself does not change.
+objects per trial: every SeedSequence hash runs over a (k, n) uint32
+block of k words of n trials at once, and a Haar row that leaves the
+ziggurat's fast path takes its generator state from the seeding pass
+that drew it.  The test suite checks every step against numpy's own
+classes, and the contract itself does not change.
 
 A batch runs as one columnar pass rather than trial by trial: it draws
 every input state and every uniform from the trials' own seeds, then
 applies the Born rule and the outcome search to the whole (n, ·) stack
 at once, and the overlap to the stack of trials whose outcome has a
-recovery.  Each step computes exactly what `run_trial` computes for one
+recovery; a fixed input takes the overlap once per outcome that
+occurred.  Each step computes exactly what `run_trial` computes for one
 row, so every batch record equals the replay of its seed.
 
 A Haar-random input is ``Generator(PCG64(state_seed)).standard_normal(6)``
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -152,71 +157,97 @@ def run_trial(
 # SeedSequence and PCG64 seeding are fixed algorithms (NumPy NEP 19;
 # O'Neill, "PCG", HMC-CS-2014-0905), so a batch computes every trial's
 # seeds, uniform and generator state over integer columns instead of
-# building numpy objects per trial.  A word is either a Python int, for the
-# part every trial shares, or a uint32/uint64 column; the same code serves
-# both, because a column wraps by itself and a Python int is masked.  The
-# test suite checks each step against numpy's own classes.
+# building numpy objects per trial.  Every step runs in lanes: a (k, n)
+# uint32 block holds k words of n trials, and one numpy op hashes or mixes
+# the whole block; a word every trial shares, such as one of the master
+# seed's, is a Python int and stands for a whole row.  The hash constants
+# do not depend on the data, so each block takes them from a cached (k, 1)
+# column, and a uint32 block wraps by itself.  The test suite checks each
+# step against numpy's own classes.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# the pool lanes each source lane cross-mixes into
+_CROSS = tuple([dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE))
 # PCG's default 128-bit multiplier as (high, low) 64-bit words
 _PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
 # a spawn index of 2**32 or more takes two entropy words
 _MAX_TRIALS = 2**32
 
 
-def _hashmix(value, hc, mult=_MULT_A):
-    """One SeedSequence hash of a 32-bit word; returns it and the next constant."""
-    value = (value ^ hc) & _MASK32
-    hc = hc * mult & _MASK32
-    value = value * hc & _MASK32
-    return value ^ value >> 16, hc
+@lru_cache(maxsize=None)
+def _lane_constants(hc, mult, k):
+    """The xor and multiply constants of k successive hashes from `hc`, as
+    uint32 (k, 1) columns, and the constant after them."""
+    xors, mults = [], []
+    for _ in range(k):
+        xors.append(hc)
+        hc = hc * mult & _MASK32
+        mults.append(hc)
+    columns = [np.array(c, dtype=np.uint32)[:, np.newaxis] for c in (xors, mults)]
+    for column in columns:
+        column.flags.writeable = False  # every batch shares them through the cache
+    return (*columns, hc)
 
 
-def _mix(x, y):
-    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return r ^ r >> 16
+def _hash_lanes(block, k, hc, mult=_MULT_A):
+    """One SeedSequence hash over k lanes: row i of the uint32 (k, n) `block`
+    is hashed with the i-th of the k constants from `hc`; a single uint32
+    row or a Python int stands for k equal rows.  Returns the hashed block
+    and the next constant."""
+    xors, mults, hc = _lane_constants(hc, mult, k)
+    h = block ^ xors
+    h *= mults
+    h ^= h >> 16
+    return h, hc
+
+
+def _mix_lanes(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    r ^= r >> 16
+    return r
 
 
 def _seed_pool(words):
-    """SeedSequence's entropy pool (pool size 4) from its entropy words."""
-    hc = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        h, hc = _hashmix(words[i] if i < len(words) else 0, hc)
-        pool.append(h)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                h, hc = _hashmix(pool[src], hc)
-                pool[dst] = _mix(pool[dst], h)
+    """SeedSequence's entropy pool (pool size 4) from its entropy words, each
+    a 32-bit Python int or a uint32 column, as a (4, n) uint32 block; n is
+    1 while no column has mixed in."""
+    words = list(words) + [0] * (_POOL_SIZE - len(words))
+    head = words[:_POOL_SIZE]
+    n = max((len(word) for word in head if not isinstance(word, int)), default=1)
+    block = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
+    for lane, word in enumerate(head):
+        block[lane] = word
+    pool, hc = _hash_lanes(block, _POOL_SIZE, _INIT_A)
+    # each source lane's three cross-mixes as one (3, n) block
+    for src, dsts in enumerate(_CROSS):
+        h, hc = _hash_lanes(pool[src], len(dsts), hc)
+        pool[dsts] = _mix_lanes(pool[dsts], h)
+    # every word past the pool size mixes into all four lanes
     for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            h, hc = _hashmix(word, hc)
-            pool[dst] = _mix(pool[dst], h)
+        h, hc = _hash_lanes(word, _POOL_SIZE, hc)
+        pool = _mix_lanes(pool, h)
     return pool
 
 
 def _generate_state(pool, n_words):
-    """``generate_state(n_words, np.uint64)`` as uint64 columns; the pool
-    must hold uint32 columns."""
-    hc = _INIT_B
-    halves = []
-    for i in range(2 * n_words):
-        h, hc = _hashmix(pool[i % _POOL_SIZE], hc, _MULT_B)
-        halves.append(h.astype(np.uint64))
-    return [lo | hi << 32 for lo, hi in zip(halves[0::2], halves[1::2])]
+    """``generate_state(n_words, np.uint64)`` as a (n_words, n) uint64 block,
+    from a pool of uint32 lanes; all 2 * n_words halves hash as one block."""
+    lanes = np.arange(2 * n_words) % _POOL_SIZE
+    halves, _ = _hash_lanes(pool[lanes], len(lanes), _INIT_B, _MULT_B)
+    halves = halves.astype(np.uint64)
+    return halves[0::2] | halves[1::2] << 32
 
 
-def trial_seeds(master_seed: int, n: int) -> list:
-    """The per-trial (state_seeds, trial_seeds) uint64 columns: row t holds
-    the two words of
+def trial_seeds(master_seed: int, n: int) -> np.ndarray:
+    """The per-trial seeds as a (2, n) uint64 block whose rows are the
+    state_seeds and trial_seeds columns: column t holds the two words of
     ``SeedSequence(master_seed).spawn(n)[t].generate_state(2, np.uint64)``.
     Child t hashes the master's words, zero-padded to the pool size, and
-    then t, so only that last step runs over a column."""
+    then t, so only that last step makes (4, n) blocks."""
     master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError("expected non-negative integer")
@@ -264,9 +295,9 @@ def _pcg64_seeded(seeds):
     return _pcg_step(_add128(inc, (s_hi, s_lo)), inc), inc
 
 
-def _pcg64_states(seeds):
-    """Yield ``PCG64(seed).state`` for every seed of a uint64 column."""
-    (s_hi, s_lo), (i_hi, i_lo) = _pcg64_seeded(seeds)
+def _pcg64_states(state, inc):
+    """Yield ``PCG64(seed).state`` for each row of `_pcg64_seeded(seeds)`."""
+    (s_hi, s_lo), (i_hi, i_lo) = state, inc
     for sh, sl, ih, il in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
         yield {
             "bit_generator": "PCG64",
@@ -289,12 +320,13 @@ def _raw_words(state, inc, count):
     return words
 
 
-def _haar_inputs(state_seeds):
+def _haar_inputs(state, inc):
     """Row t is the Haar input drawn by
-    ``Generator(PCG64(state_seeds[t])).standard_normal(6)``, bit for bit."""
-    normals = np.empty((len(state_seeds), 6))
-    fast = np.ones(len(state_seeds), dtype=bool)
-    for j, word in enumerate(_raw_words(*_pcg64_seeded(state_seeds), 6)):
+    ``Generator(PCG64(seed)).standard_normal(6)``, bit for bit, where row t
+    of the (state, inc) columns is `_pcg64_seeded` of that seed."""
+    normals = np.empty((len(state[0]), 6))
+    fast = np.ones(len(state[0]), dtype=bool)
+    for j, word in enumerate(_raw_words(state, inc, 6)):
         # random_standard_normal's fast path: the low byte picks the layer,
         # bit 8 is the sign and the next 52 bits the magnitude
         layer = word & 0xFF
@@ -302,13 +334,15 @@ def _haar_inputs(state_seeds):
         x = rabs.astype(np.float64) * _ZIGGURAT_WI[layer]
         normals[:, j] = np.where(word >> 8 & 1, -x, x)
         fast &= rabs < _ZIGGURAT_KI[layer]
-    # a draw off the fast path takes more words: redraw the row with numpy
+    # a draw off the fast path takes more words: redraw the row with numpy,
+    # from the generator state its seeding already gave
     slow = np.flatnonzero(~fast)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for row, state in zip(slow.tolist(), _pcg64_states(state_seeds[slow])):
-        bit_generator.state = state
-        normals[row] = rng.standard_normal(6)
+    picked = [tuple(word[slow] for word in pair) for pair in (state, inc)]
+    for row, seeded in zip(slow.tolist(), _pcg64_states(*picked)):
+        bit_generator.state = seeded
+        rng.standard_normal(out=normals[row])
     return analysis.normalized(normals[:, 0::2] + 1j * normals[:, 1::2])
 
 
@@ -329,7 +363,7 @@ def run_batch_records(
     summary, cols = run_batch_columns(
         channel, trials, master_seed, input_state, haar, use_paper_gates
     )
-    phis, rows, seeds, outcomes, probabilities, fidelities = cols
+    phis, rows, seeds, outcomes, probabilities, applied, fidelities = cols
     states = [tuple(row) for row in phis.tolist()]
     records = tuple(
         TrialRecord(
@@ -344,10 +378,23 @@ def run_batch_records(
             event_log=EVENT_LOG,
         )
         for row, seed, k, p, f in zip(
-            rows.tolist(), seeds, outcomes.tolist(), probabilities.tolist(), fidelities
+            rows.tolist(),
+            seeds.tolist(),
+            outcomes.tolist(),
+            probabilities.tolist(),
+            trial_fidelities(trials, applied, fidelities),
         )
     )
     return summary, records
+
+
+def trial_fidelities(trials: int, applied: np.ndarray, fidelities: np.ndarray) -> list:
+    """Every trial's fidelity as a list: the float of each trial in
+    `applied`, in order, and None for the trials that applied no recovery."""
+    out = [None] * trials
+    for t, f in zip(applied.tolist(), fidelities.tolist()):
+        out[t] = f
+    return out
 
 
 def run_batch(
@@ -374,21 +421,24 @@ def run_batch_columns(
 ) -> Tuple[BatchSummary, tuple]:
     """The whole batch as one columnar pass, trial for trial equal to `run_trial`.
 
-    Returns the summary and the columns ``(phis, rows, trial_seeds,
-    outcomes, outcome_probabilities, fidelities)``; trial t ran on input
-    ``phis[rows[t]]``, so `phis` (complex, three amplitudes a row) has one
-    row per trial in haar mode and a single row shared by every trial in
-    fixed mode.  `rows`, `outcomes` and `outcome_probabilities` are arrays;
-    `trial_seeds` is a list of ints and `fidelities` a list holding a float
-    for each trial that applied a recovery and None for the others.
-    `serialize.simulation_pieces` writes these columns as the CLI output.
+    Returns the summary and the array columns ``(phis, rows, trial_seeds,
+    outcomes, outcome_probabilities, applied, fidelities)``.  Trial t ran
+    on input ``phis[rows[t]]``, so `phis` (complex, three amplitudes a row)
+    has one row per trial in haar mode and a single row shared by every
+    trial in fixed mode.  `trial_seeds` is the uint64 seed column,
+    `outcomes` and `outcome_probabilities` hold one entry per trial, and
+    `applied` lists in order the trials whose outcome has a recovery, with
+    their `fidelities` beside them.  No per-trial Python object is built:
+    `serialize.simulation_pieces` writes these columns as the CLI output,
+    and `run_batch_records` turns them into records.
 
     No step loops over trials in Python, except the redraw of the Haar
-    rows that leave the ziggurat's fast path (`_haar_inputs`): the draws,
-    the Born weights, the outcome search and the overlap of every
-    recovered trial each run once over the whole stack.  The printed
-    floats therefore rest on the same numpy ziggurat tables, BLAS dot and
-    gemv kernels and libm ``hypot``/``pow`` as `run_trial` on one row.
+    rows that leave the ziggurat's fast path (`_haar_inputs`): the seeding,
+    the draws, the Born weights, the outcome search and the overlap each
+    run once over the whole stack.  A fixed input takes the overlap once
+    per outcome that occurred.  The printed floats therefore rest on the
+    same numpy ziggurat tables, BLAS dot and gemv kernels and libm
+    ``hypot``/``pow`` as `run_trial` on one row.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -401,41 +451,45 @@ def run_batch_columns(
 
     state_seeds, seed_column = trial_seeds(master_seed, trials)
     if haar:
-        phis = _haar_inputs(state_seeds)
+        phis = _haar_inputs(*_pcg64_seeded(state_seeds))
         rows = np.arange(trials)
     else:
         phis = fixed_phi[np.newaxis]
         rows = np.zeros(trials, dtype=np.intp)
     # Generator(PCG64(seed)).random() without building either object
     u = (_raw_words(*_pcg64_seeded(seed_column), 1)[0] >> 11) * _DOUBLE_UNIT
-    seeds = seed_column.tolist()
 
     weights = analysis.born_weights(effects, phis)
     probs = weights / weights.sum(axis=1, keepdims=True)
     # searchsorted(cumsum, u, side="right") row by row, capped at 8
     outcomes = np.minimum((np.cumsum(probs, axis=1) <= u[:, np.newaxis]).sum(axis=1), 8)
-    # rounding in the cumulative sum must never select a zero-mass bin: step
-    # down to the last outcome at or below it with mass (0 if there is none)
-    with_mass = np.where(probs != 0.0, np.arange(9), 0)
-    outcomes = np.maximum.accumulate(with_mass, axis=1)[rows, outcomes]
+    if not probs.all():
+        # rounding in the cumulative sum must never select a zero-mass bin:
+        # step down to the last outcome at or below it with mass (0 if none)
+        with_mass = np.where(probs != 0.0, np.arange(9), 0)
+        outcomes = np.maximum.accumulate(with_mass, axis=1)[rows, outcomes]
 
-    # one stacked overlap over the trials whose outcome has a recovery; a
-    # singular outcome's zero placeholder is never selected
+    # the trials whose outcome has a recovery; a singular outcome's zero
+    # placeholder is never selected
     applied = np.flatnonzero(np.array([rec is not None for rec in recoveries])[outcomes])
     rec_stack = np.stack([np.zeros((3, 3)) if rec is None else rec for rec in recoveries])
     k = outcomes[applied]
-    applied_fidelities = analysis.overlap(phis[rows[applied]], gates[k], rec_stack[k])
-    fidelities = np.full(trials, None, dtype=object)
-    fidelities[applied] = applied_fidelities
-
     if haar:
+        fidelities = analysis.overlap(phis[applied], gates[k], rec_stack[k])
         # Averaging the Born rule over the uniform state distribution
         # replaces |phi><phi| with I/3.
         drawn_from = effects.trace(axis1=1, axis2=2) / 3.0
     else:
+        # one overlap per outcome that occurred, so none of zero mass
+        occurred = np.flatnonzero(np.bincount(k, minlength=9))
+        per_outcome = np.zeros(9)
+        per_outcome[occurred] = analysis.overlap(
+            phis[np.zeros(len(occurred), dtype=np.intp)], gates[occurred], rec_stack[occurred]
+        )
+        fidelities = per_outcome[k]
         drawn_from = weights[0]  # the one fixed input's Born weights
-    summary = summarize(channel, outcomes, applied_fidelities, drawn_from / drawn_from.sum())
-    columns = (phis, rows, seeds, outcomes, weights[rows, outcomes], fidelities.tolist())
+    summary = summarize(channel, outcomes, fidelities, drawn_from / drawn_from.sum())
+    columns = (phis, rows, seed_column, outcomes, weights[rows, outcomes], applied, fidelities)
     return summary, columns
 
 

@@ -318,3 +318,104 @@ def test_stacked_born_weights_equal_the_per_row_call(use_paper_gates):
         assert weights.shape == (len(stack), 9)
         for row, v in zip(weights, stack):
             assert np.array_equal(row, analysis.born_weights(effects, v))
+
+
+# -- born_weights against two oracles -------------------------------------------
+
+
+def born_weights_einsum(effects, v):
+    """The Born rule as the package wrote it before the written order: a
+    three-operand einsum, clipped at zero."""
+    return np.clip(np.einsum("...i,kij,...j->...k", v.conj(), effects, v).real, 0.0, None)
+
+
+def born_weights_written(effects, v):
+    """The written order in plain Python floats, one row at a time: per
+    effect, from +0, add ``(a_i * E_ij) * a_j + (b_i * E_ij) * b_j`` over
+    every (i, j) in row-major order, zero entries included, then clip."""
+    effects = effects.tolist()
+    rows = []
+    for row in np.atleast_2d(v).tolist():
+        a, b = [z.real for z in row], [z.imag for z in row]
+        weights = []
+        for e in effects:
+            acc = 0.0
+            for i in range(3):
+                for j in range(3):
+                    acc += (a[i] * e[i][j]) * a[j] + (b[i] * e[i][j]) * b[j]
+            weights.append(acc if acc >= 0.0 else 0.0)
+        rows.append(weights)
+    return np.array(rows).reshape(v.shape[:-1] + (len(effects),))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
+def test_born_weights_follow_the_written_order_on_dense_effects(symmetric):
+    # dense random effects, so no (i, j) is skipped; rows of any norm
+    rng = np.random.default_rng(19 + symmetric)
+    effects = rng.standard_normal((9, 3, 3))
+    if symmetric:
+        effects = effects + effects.transpose(0, 2, 1)
+    stack = rng.standard_normal((10_000, 3)) + 1j * rng.standard_normal((10_000, 3))
+    stack[:3] = np.eye(3)
+    assert np.array_equal(
+        _bits(analysis.born_weights(effects, stack)), _bits(born_weights_written(effects, stack))
+    )
+    for v in stack[:50]:
+        assert np.array_equal(
+            _bits(analysis.born_weights(effects, v)), _bits(born_weights_written(effects, v))
+        )
+
+
+@pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
+def test_born_weights_equal_einsum_on_the_package_effects(use_paper_gates):
+    # every effect is diagonal, so the written order skips the off-diagonal
+    # (i, j); the plain-float oracle adds them and must still agree
+    rng = np.random.default_rng(23)
+    raw = rng.standard_normal((20_000, 6))
+    stack = analysis.normalized(raw[:, 0::2] + 1j * raw[:, 1::2])
+    stack = np.concatenate([np.eye(3, dtype=complex), stack])
+    for channel in range(9):
+        effects = analysis.numeric_channel(channel, use_paper_gates).effects
+        weights = analysis.born_weights(effects, stack)
+        assert np.array_equal(_bits(weights), _bits(born_weights_einsum(effects, stack)))
+        assert np.array_equal(
+            _bits(weights[:300]), _bits(born_weights_written(effects, stack[:300]))
+        )
+
+
+def expected_fidelities_loop(i, phi):
+    """`expected_fidelities` as one overlap call per outcome, the loop the
+    package ran before it stacked the overlaps."""
+    v = analysis.as_state(phi)
+    gates, effects, recoveries = analysis.numeric_channel(i, False)
+    p = analysis.born_weights(effects, v)
+    inv_weight = inv_acc = all_acc = 0.0
+    for k in range(9):
+        if p[k] <= 1e-15:
+            continue
+        fid = analysis.overlap(v, gates[k], recoveries[k])
+        all_acc += p[k] * fid
+        if recoveries[k] is not None:
+            inv_weight += p[k]
+            inv_acc += p[k] * fid
+    return {
+        "invertible_mass": float(inv_weight),
+        "mean_fidelity_invertible": float(inv_acc / inv_weight) if inv_weight > 0 else None,
+        "mean_fidelity_all_outcomes": float(all_acc / p.sum()),
+    }
+
+
+def test_expected_fidelities_equal_the_per_outcome_loop():
+    rng = random.Random(29)
+    states = [(1, 0, 0), (0, 1, 0), (0.6, 0.48j, 0.64)]
+    states += [random_state(rng) for _ in range(1000 - len(states))]
+    for channel in range(9):
+        for phi in states:
+            # repr tells every float apart bit for bit
+            assert repr(analysis.expected_fidelities(channel, phi)) == repr(
+                expected_fidelities_loop(channel, phi)
+            )

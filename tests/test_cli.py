@@ -250,7 +250,7 @@ def test_simulate_non_finite_column_is_a_usage_error_before_any_output(
         summary, columns = run_batch_columns(*args, **kwargs)
         probabilities = columns[4].copy()
         probabilities[1] = float("nan")
-        return summary, (*columns[:4], probabilities, columns[5])
+        return summary, (*columns[:4], probabilities, *columns[5:])
 
     monkeypatch.setattr(simulate, "run_batch_columns", with_nan)
     argv = ["simulate", "--channel", "0", "--trials", "3", "--format", fmt]

@@ -167,9 +167,11 @@ def test_haar_states_are_normalized_and_seeded(monkeypatch):
     redrawn = []
     states = simulate._pcg64_states
     monkeypatch.setattr(
-        simulate, "_pcg64_states", lambda s: redrawn.append(len(s)) or states(s)
+        simulate,
+        "_pcg64_states",
+        lambda state, inc: redrawn.append(len(state[0])) or states(state, inc),
     )
-    phis = simulate._haar_inputs(seeds)
+    phis = simulate._haar_inputs(*simulate._pcg64_seeded(seeds))
     assert 0.05 < redrawn[0] / len(seeds) < 0.15
     expected = np.array(
         [haar_state(np.random.Generator(np.random.PCG64(s))) for s in seeds.tolist()]
@@ -336,7 +338,7 @@ def test_ziggurat_tables_equal_numpys():
 def test_stacked_overlap_and_norm_equal_the_per_state_oracle(channel, use_paper_gates):
     # 10**4 Haar inputs, each with a uniform outcome, recovered where the
     # outcome has a recovery and scored un-recovered where it has none
-    phis = simulate._haar_inputs(trial_seeds(channel, 10_000)[0])
+    phis = simulate._haar_inputs(*simulate._pcg64_seeded(trial_seeds(channel, 10_000)[0]))
     gates, _, recoveries = analysis.numeric_channel(channel, use_paper_gates)
     ks = np.random.default_rng(channel).integers(0, 9, size=len(phis))
     has_rec = np.array([r is not None for r in recoveries])[ks]
@@ -364,7 +366,7 @@ def test_haar_generator_states_equal_pcg64_state():
     state_seeds, _ = trial_seeds(2024, 400)
     seeds = np.concatenate([np.array(_EDGE_SEEDS, dtype=np.uint64), state_seeds])
     expected = [np.random.PCG64(s).state for s in seeds.tolist()]
-    assert list(simulate._pcg64_states(seeds)) == expected
+    assert list(simulate._pcg64_states(*simulate._pcg64_seeded(seeds))) == expected
 
 
 def test_negative_master_seed_is_rejected():
@@ -390,3 +392,44 @@ def test_batches_raise_no_numpy_warnings(master):
             run_batch(
                 8, 200, master, input_state=REPLAY_STATE, use_paper_gates=use_paper_gates
             )
+
+
+@pytest.mark.parametrize(
+    "master", [2**32 - 5, 2**63 + 2**32 + 9, 7**70], ids=["1-word", "2-words", "7-words"]
+)
+def test_lane_trial_seeds_equal_a_large_spawn(master):
+    # 7**70 takes seven entropy words: three mix in past the pool size,
+    # before the spawn index
+    assert (7**70).bit_length() // 32 + 1 == 7
+    n = 5000
+    expected = np.array(
+        [child.generate_state(2, np.uint64) for child in np.random.SeedSequence(master).spawn(n)]
+    )
+    seeds = trial_seeds(master, n)
+    assert seeds.shape == (2, n) and seeds.dtype == np.uint64
+    assert np.array_equal(seeds, expected.T)
+
+
+@pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
+@pytest.mark.parametrize("state", [REPLAY_STATE, KET0], ids=["dense", "ket0"])
+@pytest.mark.parametrize("channel", [0, 8])
+def test_fixed_batch_fidelities_equal_the_replay_of_every_trial(channel, state, use_paper_gates):
+    # a one-row batch takes each outcome's overlap once and indexes it
+    _, records = run_batch_records(channel, 2000, 60 + channel, state, False, use_paper_gates)
+    for rec in records:
+        assert rec == run_trial(channel, state, rec.seed, use_paper_gates)
+
+
+def test_batches_call_no_einsum(monkeypatch):
+    # einsum has left the simulate path, born_weights included; the cached
+    # channels are built first
+    for use_paper_gates in (False, True):
+        analysis.numeric_channel(8, use_paper_gates)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("einsum called")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    for use_paper_gates in (False, True):
+        run_batch(8, 300, 3, haar=True, use_paper_gates=use_paper_gates)
+        run_batch(8, 300, 3, input_state=REPLAY_STATE, use_paper_gates=use_paper_gates)

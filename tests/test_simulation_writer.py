@@ -171,7 +171,16 @@ def _synthetic_batches(draw):
         )
         for t in range(n)
     ]
-    columns = (phis, rows, seeds, outcomes, probabilities, fidelities)
+    applied = np.array([t for t, f in enumerate(fidelities) if f is not None], dtype=np.intp)
+    columns = (
+        phis,
+        rows,
+        np.array(seeds, dtype=np.uint64),
+        outcomes,
+        probabilities,
+        applied,
+        np.array([f for f in fidelities if f is not None], dtype=float),
+    )
     return summary, columns, records
 
 
@@ -195,14 +204,14 @@ def test_synthetic_columns_match_the_oracle(batch, master_seed, mode, paper, pie
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_column_is_refused_before_any_piece(column, bad, fmt):
     summary, columns = simulate.run_batch_columns(0, 5, 3, haar=True)
-    phis, rows, seeds, outcomes, probabilities, fidelities = columns
-    phis, probabilities, fidelities = phis.copy(), probabilities.copy(), [0.5] * 5
+    phis, rows, seeds, outcomes, probabilities, _, _ = columns
+    phis, probabilities, fidelities = phis.copy(), probabilities.copy(), np.full(5, 0.5)
     if column == "input state":
         phis[2, 1] = complex(0.0, bad)
     elif column == "outcome probability":
         probabilities[4] = bad
     else:
         fidelities[0] = bad
-    columns = (phis, rows, seeds, outcomes, probabilities, fidelities)
+    columns = (phis, rows, seeds, outcomes, probabilities, np.arange(5), fidelities)
     with pytest.raises(ValueError, match=f"non-finite {column}"):
         serialize.simulation_pieces(summary, columns, 3, "haar", False, fmt)
