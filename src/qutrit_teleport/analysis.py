@@ -11,7 +11,9 @@ over k of G_ik^T G_ik, which callers compare with the identity.
 
 The numeric layer is the package's one floating-point path, shared with
 `simulate`: `numeric_channel` caches a channel's gates (oracle or printed),
-effects G^T G and recoveries as floats; `born_weights` and `overlap` are
+effects G^T G and recoveries as read-only (9, 3, 3) float stacks, with
+the recoveries zero at singular outcomes and a bool mask `invertible`
+beside them; `born_weights` and `overlap` are
 the Born rule and the post-measurement fidelity, and `normalized` divides
 states by their norm.  Each takes one state or a stack of states and
 gives every row the bits it gives that row alone.  It imports numpy when
@@ -186,7 +188,8 @@ class NumericChannel(NamedTuple):
 
     gates: np.ndarray  # (9, 3, 3) gate matrices G_k
     effects: np.ndarray  # (9, 3, 3) Born-rule effects G_k^T G_k
-    recoveries: tuple  # nine (3, 3) recovery matrices, None where G_k is singular
+    recoveries: np.ndarray  # (9, 3, 3) recovery matrices, zero where G_k is singular
+    invertible: np.ndarray  # (9,) bool: G_k has a recovery
 
 
 def gate_matrix(g: Operator3) -> np.ndarray:
@@ -198,11 +201,11 @@ def gate_matrix(g: Operator3) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def numeric_channel(i: int, use_paper_gates: bool) -> NumericChannel:
+def numeric_channel(i: int, use_paper_gates: bool, /) -> NumericChannel:
     """Channel i's oracle gates in floats, or its printed gates.
 
-    Pass `use_paper_gates` positionally: the cache keys on the arguments
-    as written, and every caller in the package spells them the same way.
+    The arguments are positional-only, so every call of one channel hits
+    one cache entry and every caller shares these read-only arrays.
     """
     import numpy as np
 
@@ -214,13 +217,15 @@ def numeric_channel(i: int, use_paper_gates: bool) -> NumericChannel:
         exact = [engine.derive_gate(i, k) for k in range(9)]
     gates = np.stack([gate_matrix(g) for g in exact])
     effects = np.einsum("kji,kjl->kil", gates, gates)
-    recoveries = tuple(
-        None if rec is None else gate_matrix(rec) for rec in map(recovery, exact)
+    exact_recoveries = [recovery(g) for g in exact]
+    invertible = np.array([rec is not None for rec in exact_recoveries])
+    recoveries = np.stack(
+        [np.zeros((3, 3)) if rec is None else gate_matrix(rec) for rec in exact_recoveries]
     )
-    # every caller shares these arrays through the cache
-    for a in (gates, effects, *(r for r in recoveries if r is not None)):
+    channel = NumericChannel(gates, effects, recoveries, invertible)
+    for a in channel:
         a.flags.writeable = False
-    return NumericChannel(gates, effects, recoveries)
+    return channel
 
 
 def as_state(phi: Sequence[complex]) -> np.ndarray:
@@ -318,10 +323,10 @@ def fidelity_after_recovery(i: int, k: int, phi: Sequence[complex]) -> Optional[
     """
     _check_outcome(k)
     v = as_state(phi)
-    gates, effects, recoveries = numeric_channel(i, False)
+    gates, effects, recoveries, invertible = numeric_channel(i, False)
     if born_weights(effects, v)[k] <= 1e-15:
         raise ValueError(f"outcome {k} has zero probability for this input state")
-    if recoveries[k] is None:
+    if not invertible[k]:
         return None
     return float(overlap(v, gates[k], recoveries[k]))
 
@@ -337,26 +342,22 @@ def expected_fidelities(i: int, phi: Sequence[complex]) -> dict:
     import numpy as np
 
     v = as_state(phi)
-    gates, effects, recoveries = numeric_channel(i, False)
+    gates, effects, recoveries, invertible = numeric_channel(i, False)
     p = born_weights(effects, v)
-    occurred = [k for k in range(9) if p[k] > 1e-15]
-    recovered = [k for k in occurred if recoveries[k] is not None]
-    singular = [k for k in occurred if recoveries[k] is None]
+    occurred = np.flatnonzero(p > 1e-15)
+    recovered = occurred[invertible[occurred]]
+    singular = occurred[~invertible[occurred]]
     # one stacked overlap for the recovered outcomes and one for the singular
-    fid = {}
-    if recovered:
-        recs = np.stack([recoveries[k] for k in recovered])
-        stack = np.broadcast_to(v, (len(recovered), 3))
-        fid.update(zip(recovered, overlap(stack, gates[recovered], recs)))
-    if singular:
-        stack = np.broadcast_to(v, (len(singular), 3))
-        fid.update(zip(singular, overlap(stack, gates[singular], None)))
+    fid = np.zeros(9)
+    for ks, recs in ((recovered, recoveries[recovered]), (singular, None)):
+        if len(ks):
+            fid[ks] = overlap(np.broadcast_to(v, (len(ks), 3)), gates[ks], recs)
     inv_weight = 0.0
     inv_acc = 0.0
     all_acc = 0.0
-    for k in occurred:
+    for k in occurred.tolist():
         all_acc += p[k] * fid[k]
-        if recoveries[k] is not None:
+        if invertible[k]:
             inv_weight += p[k]
             inv_acc += p[k] * fid[k]
     return {

@@ -4,7 +4,8 @@ Subcommands: basis, derive, verify, compare, analyze, simulate, export,
 import.  Exit codes: 0 success, 1 usage error or stdout closed by its
 reader before the output was written, 2 a verification subcommand found a
 violated invariant or mismatch.  Output is written to stdout unless --out
-is given; identical invocations produce byte-identical output.
+is given, as UTF-8 in both cases, whatever the locale; identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -411,6 +412,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # stdout carries the bytes --out writes, UTF-8, whatever the locale
+    sys.stdout.reconfigure(encoding="utf-8")
     raise SystemExit(main())
 
 

@@ -375,6 +375,15 @@ def _pieces(lines: Iterator[str]) -> Iterator[str]:
     return iter(lambda: "".join(islice(lines, _PIECE_TRIALS)), "")
 
 
+def _trial_fidelities(trials, applied, fidelities) -> list:
+    """Every trial's fidelity as a list: the float of each trial in
+    `applied`, in order, and None for the trials that applied no recovery."""
+    out = [None] * trials
+    for t, f in zip(applied.tolist(), fidelities.tolist()):
+        out[t] = f
+    return out
+
+
 def simulation_pieces(
     summary: BatchSummary,
     columns: tuple,
@@ -398,8 +407,6 @@ def simulation_pieces(
     """
     import numpy as np
 
-    from .simulate import trial_fidelities
-
     phis, rows, seeds, outcomes, probabilities, applied, fidelities = columns
     for name, column in (
         ("input state", phis),
@@ -412,7 +419,7 @@ def simulation_pieces(
         rows.tolist(),
         outcomes.tolist(),
         probabilities.tolist(),
-        trial_fidelities(len(outcomes), applied, fidelities),
+        _trial_fidelities(len(outcomes), applied, fidelities),
         seeds.tolist(),
     )
     if fmt == "csv":

@@ -7,8 +7,10 @@ outcomes by the Born rule, the outcome index travels over a classical
 channel, and the receiver applies the recovery map when one exists.  The
 event log records exactly that order, so recovery can never precede the
 classical message.  The gates, the Born rule and the fidelity come from
-the numeric layer of `analysis`; this module adds the randomness, the
-outcome search, the records and the batch summary.
+the numeric layer of `analysis`, whose float view of a channel holds its
+recoveries as one stack beside a mask of the outcomes that have one;
+this module adds the randomness, the outcome search, the trial record
+and the batch summary.
 
 RNG contract (part of the interface, not an implementation detail): all
 randomness comes from NumPy's PCG64 bit generator.  A batch spawns one
@@ -29,7 +31,8 @@ applies the Born rule and the outcome search to the whole (n, ·) stack
 at once, and the overlap to the stack of trials whose outcome has a
 recovery; a fixed input takes the overlap once per outcome that
 occurred.  Each step computes exactly what `run_trial` computes for one
-row, so every batch record equals the replay of its seed.
+row, so every row of a batch's columns equals the `run_trial` replay of
+its seed; that replay is a trial's record.
 
 A Haar-random input is ``Generator(PCG64(state_seed)).standard_normal(6)``
 read as three complex amplitudes and normalized.  A batch draws those
@@ -62,7 +65,6 @@ EVENT_LOG = (
     ("classical_send", "A1+A2->B"),
     ("recover", "B"),
 )
-EVENT_SEQUENCE = tuple(name for name, _ in EVENT_LOG)
 # Generator.random() maps a 64-bit word w to (w >> 11) * 2**-53
 _DOUBLE_UNIT = 2.0 ** -53
 
@@ -119,7 +121,7 @@ def run_trial(
     if not 0 <= channel <= 8:
         raise ValueError(f"channel index {channel} out of range 0..8")
     phi = analysis.as_state(input_state)
-    gates, effects, recoveries = analysis.numeric_channel(channel, use_paper_gates)
+    gates, effects, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
 
     weights = analysis.born_weights(effects, phi)
     total = float(weights.sum())
@@ -135,9 +137,10 @@ def run_trial(
     while outcome > 0 and probs[outcome] == 0.0:
         outcome -= 1
 
-    rec = recoveries[outcome]
-    recovery_applied = rec is not None
-    fidelity = float(analysis.overlap(phi, gates[outcome], rec)) if recovery_applied else None
+    recovery_applied = bool(invertible[outcome])
+    fidelity = None
+    if recovery_applied:
+        fidelity = float(analysis.overlap(phi, gates[outcome], recoveries[outcome]))
 
     return TrialRecord(
         channel=channel,
@@ -346,57 +349,6 @@ def _haar_inputs(state, inc):
     return analysis.normalized(normals[:, 0::2] + 1j * normals[:, 1::2])
 
 
-def run_batch_records(
-    channel: int,
-    trials: int,
-    master_seed: int,
-    input_state: Optional[Sequence[complex]] = None,
-    haar: bool = False,
-    use_paper_gates: bool = False,
-) -> Tuple[BatchSummary, tuple]:
-    """Seeded batch; returns the summary and every trial record.
-
-    Exactly one of `input_state` and `haar` selects the input mode.  Each
-    record equals ``run_trial(channel, record.input_state, record.seed,
-    use_paper_gates)``.
-    """
-    summary, cols = run_batch_columns(
-        channel, trials, master_seed, input_state, haar, use_paper_gates
-    )
-    phis, rows, seeds, outcomes, probabilities, applied, fidelities = cols
-    states = [tuple(row) for row in phis.tolist()]
-    records = tuple(
-        TrialRecord(
-            channel=channel,
-            input_state=states[row],
-            outcome=k,
-            outcome_probability=p,
-            classical_message=k,
-            recovery_applied=f is not None,
-            fidelity=f,
-            seed=seed,
-            event_log=EVENT_LOG,
-        )
-        for row, seed, k, p, f in zip(
-            rows.tolist(),
-            seeds.tolist(),
-            outcomes.tolist(),
-            probabilities.tolist(),
-            trial_fidelities(trials, applied, fidelities),
-        )
-    )
-    return summary, records
-
-
-def trial_fidelities(trials: int, applied: np.ndarray, fidelities: np.ndarray) -> list:
-    """Every trial's fidelity as a list: the float of each trial in
-    `applied`, in order, and None for the trials that applied no recovery."""
-    out = [None] * trials
-    for t, f in zip(applied.tolist(), fidelities.tolist()):
-        out[t] = f
-    return out
-
-
 def run_batch(
     channel: int,
     trials: int,
@@ -430,7 +382,8 @@ def run_batch_columns(
     `applied` lists in order the trials whose outcome has a recovery, with
     their `fidelities` beside them.  No per-trial Python object is built:
     `serialize.simulation_pieces` writes these columns as the CLI output,
-    and `run_batch_records` turns them into records.
+    and a trial's record is the `run_trial` replay of its row (its input
+    and its seed).
 
     No step loops over trials in Python, except the redraw of the Haar
     rows that leave the ziggurat's fast path (`_haar_inputs`): the seeding,
@@ -447,7 +400,7 @@ def run_batch_columns(
     fixed_phi = None if haar else analysis.as_state(input_state)
     if not 0 <= channel <= 8:
         raise ValueError(f"channel index {channel} out of range 0..8")
-    gates, effects, recoveries = analysis.numeric_channel(channel, use_paper_gates)
+    gates, effects, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
 
     state_seeds, seed_column = trial_seeds(master_seed, trials)
     if haar:
@@ -470,12 +423,11 @@ def run_batch_columns(
         outcomes = np.maximum.accumulate(with_mass, axis=1)[rows, outcomes]
 
     # the trials whose outcome has a recovery; a singular outcome's zero
-    # placeholder is never selected
-    applied = np.flatnonzero(np.array([rec is not None for rec in recoveries])[outcomes])
-    rec_stack = np.stack([np.zeros((3, 3)) if rec is None else rec for rec in recoveries])
+    # recovery is never selected
+    applied = np.flatnonzero(invertible[outcomes])
     k = outcomes[applied]
     if haar:
-        fidelities = analysis.overlap(phis[applied], gates[k], rec_stack[k])
+        fidelities = analysis.overlap(phis[applied], gates[k], recoveries[k])
         # Averaging the Born rule over the uniform state distribution
         # replaces |phi><phi| with I/3.
         drawn_from = effects.trace(axis1=1, axis2=2) / 3.0
@@ -484,7 +436,7 @@ def run_batch_columns(
         occurred = np.flatnonzero(np.bincount(k, minlength=9))
         per_outcome = np.zeros(9)
         per_outcome[occurred] = analysis.overlap(
-            phis[np.zeros(len(occurred), dtype=np.intp)], gates[occurred], rec_stack[occurred]
+            phis[np.zeros(len(occurred), dtype=np.intp)], gates[occurred], recoveries[occurred]
         )
         fidelities = per_outcome[k]
         drawn_from = weights[0]  # the one fixed input's Born weights

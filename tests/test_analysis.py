@@ -22,6 +22,7 @@ from qutrit_teleport.analysis import (
 )
 from qutrit_teleport.exact import ExtScalar, rational
 from qutrit_teleport.linalg import Operator3
+from qutrit_teleport.simulate import run_batch, run_trial
 
 
 def random_state(rng):
@@ -138,10 +139,14 @@ def test_non_finite_state_rejected(phi):
 
 @pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
 def test_numeric_channel_is_the_float_view_of_the_exact_gates(use_paper_gates):
+    # the recoveries are one stack, zero at singular outcomes, beside the
+    # mask of the outcomes that have one
     for i in range(9):
-        gates, effects, recoveries = analysis.numeric_channel(i, use_paper_gates)
-        assert gates.shape == effects.shape == (9, 3, 3)
-        assert not gates.flags.writeable and not effects.flags.writeable
+        channel = analysis.numeric_channel(i, use_paper_gates)
+        gates, effects, recoveries, invertible = channel
+        assert gates.shape == effects.shape == recoveries.shape == (9, 3, 3)
+        assert invertible.shape == (9,) and invertible.dtype == bool
+        assert not any(a.flags.writeable for a in channel)
         for k in range(9):
             exact = (
                 published.paper_gate(i, k)
@@ -151,10 +156,28 @@ def test_numeric_channel_is_the_float_view_of_the_exact_gates(use_paper_gates):
             assert np.array_equal(gates[k], analysis.gate_matrix(exact))
             assert np.allclose(effects[k], gates[k].T @ gates[k], atol=1e-15)
             rec = recovery(exact)
+            assert invertible[k] == (rec is not None)
             if rec is None:
-                assert recoveries[k] is None
+                assert not recoveries[k].any()
             else:
                 assert np.array_equal(recoveries[k], analysis.gate_matrix(rec))
+
+
+def test_numeric_channel_has_one_cache_entry_per_channel():
+    # positional-only arguments: a keyword spelling would be a second
+    # cache key for the same channel
+    with pytest.raises(TypeError):
+        analysis.numeric_channel(0, use_paper_gates=False)
+    with pytest.raises(TypeError):
+        analysis.numeric_channel(i=0, use_paper_gates=False)
+    analysis.numeric_channel.cache_clear()
+    run_trial(5, (0.6, 0.48j, 0.64), 3)
+    run_batch(5, 20, 3, input_state=(0.6, 0.48j, 0.64))
+    run_batch(5, 20, 3, haar=True)
+    analysis.expected_fidelities(5, (1, 0, 0))
+    fidelity_after_recovery(5, 0, (0.6, 0.48j, 0.64))
+    info = analysis.numeric_channel.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
 
 
 def test_recovery_examples():
@@ -197,10 +220,10 @@ def test_fidelity_is_the_shared_overlap_with_recovery():
     phi = (0.6, 0.48j, 0.64)
     v = analysis.as_state(phi)
     for i in range(9):
-        gates, effects, recoveries = analysis.numeric_channel(i, False)
+        gates, effects, recoveries, invertible = analysis.numeric_channel(i, False)
         for k in np.flatnonzero(analysis.born_weights(effects, v) > 1e-15):
             expected = None
-            if recoveries[k] is not None:
+            if invertible[k]:
                 expected = analysis.overlap(v, gates[k], recoveries[k])
             assert fidelity_after_recovery(i, int(k), phi) == expected
 
@@ -391,15 +414,15 @@ def expected_fidelities_loop(i, phi):
     """`expected_fidelities` as one overlap call per outcome, the loop the
     package ran before it stacked the overlaps."""
     v = analysis.as_state(phi)
-    gates, effects, recoveries = analysis.numeric_channel(i, False)
+    gates, effects, recoveries, invertible = analysis.numeric_channel(i, False)
     p = analysis.born_weights(effects, v)
     inv_weight = inv_acc = all_acc = 0.0
     for k in range(9):
         if p[k] <= 1e-15:
             continue
-        fid = analysis.overlap(v, gates[k], recoveries[k])
+        fid = analysis.overlap(v, gates[k], recoveries[k] if invertible[k] else None)
         all_acc += p[k] * fid
-        if recoveries[k] is not None:
+        if invertible[k]:
             inv_weight += p[k]
             inv_acc += p[k] * fid
     return {

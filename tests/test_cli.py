@@ -306,6 +306,29 @@ def test_stdout_on_a_full_disk_fails_in_one_line(argv):
     assert proc.returncode == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["basis"], ["derive", "--channel", "0"], ["compare", "--format", "json"]],
+    ids=["basis", "derive", "compare"],
+)
+def test_stdout_is_utf8_on_an_ascii_locale(tmp_path, argv):
+    # these outputs hold non-ASCII text (kets, square roots, Greek
+    # letters), which an ASCII stdout could not encode
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(qutrit_teleport.__file__).parents[1]),
+        PYTHONIOENCODING="ascii",
+    )
+    command = [sys.executable, "-m", "qutrit_teleport.cli", *argv]
+    path = tmp_path / "out.txt"
+    written = subprocess.run([*command, "--out", str(path)], capture_output=True, env=env)
+    printed = subprocess.run(command, capture_output=True, env=env)
+    assert (written.returncode, written.stdout, written.stderr) == (EXIT_OK, b"", b"")
+    assert (printed.returncode, printed.stderr) == (EXIT_OK, b"")
+    assert not printed.stdout.isascii()
+    assert printed.stdout == path.read_bytes()
+
+
 def test_out_of_memory_fails_in_one_line(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError

@@ -1,4 +1,4 @@
-"""The failure contract of `simulate` and `import`, driven by hypothesis.
+"""The failure contract of every subcommand, driven by hypothesis.
 
 Whatever the argv or the file, `cli.main` returns instead of raising; the
 exit code is 0, 1 or 2; stderr holds at most one line; and a usage error
@@ -6,11 +6,13 @@ exit code is 0, 1 or 2; stderr holds at most one line; and a usage error
 warning would be a second stderr line in a real process, so warnings are
 errors here.  Accepted trial counts stay at or below 10**4, so each
 example is cheap; the invalid counts must be refused before the batch
-allocates anything.
+allocates anything.  No argv holds ``-h``: help, like ``--version``,
+prints and exits through argparse by design.
 """
 
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -129,6 +131,88 @@ def test_invalid_trial_counts_are_refused_before_any_allocation(capsys, trials, 
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert peak < 2**20
+
+
+# -- the exact subcommands -------------------------------------------------------
+
+_FORMATS = {
+    "basis": ("text", "json", "latex"),
+    "derive": ("json", "latex", "text"),
+    "compare": ("json", "markdown", "latex"),
+    "analyze": ("json", "markdown"),
+}
+# index texts out of 0..8, odd spellings and no number at all; a free text
+# never starts with "-", which could read as an option (-h among them)
+_BAD_INDEX = st.sampled_from(
+    ["-1", "9", "12", "", " 3", "3.0", "+4", "08", "0x1", "1_0"]
+) | st.text(max_size=3).filter(lambda t: not t.startswith("-"))
+_BAD_FORMATS = ["xml", "", "JSON"]
+# --out paths that cannot be written
+_BAD_OUT = ["missing/exact.out", "."] + (["/dev/full"] if os.path.exists("/dev/full") else [])
+# tokens no subcommand here accepts, and options left without their value
+# (a bare --out is left out: it would write to the token after it)
+_STRAY = st.sampled_from(
+    [["--bogus"], ["extra"], ["--trials", "3"], ["--haar"], ["--roman=1"], ["--channel"],
+     ["--format"]]
+)
+
+
+def _exact_options(command, out_dir, valid):
+    """One option of `command`; when not `valid`, its value may be refused."""
+    def values(good, bad):
+        return st.sampled_from(good) if valid else st.sampled_from(good) | bad
+
+    outs = values(["exact.out"], st.sampled_from(_BAD_OUT))
+    options = [outs.map(lambda name: ["--out", str(out_dir / name)])]
+    if command in _FORMATS:
+        formats = values(_FORMATS[command], st.sampled_from(_BAD_FORMATS))
+        options += [formats.map(lambda f: ["--format", f]), formats.map(lambda f: [f"--format={f}"])]
+    index = values([str(i) for i in range(9)], _BAD_INDEX)
+    if command in ("derive", "analyze"):
+        options.append(index.map(lambda c: ["--channel", c]))
+    if command == "derive":
+        options.append(index.map(lambda k: ["--outcome", k]))
+    if command in ("derive", "compare", "analyze"):
+        options.append(st.just(["--roman"]))
+    if command == "compare":
+        options.append(st.just(["--fail-on-mismatch"]))
+    return st.one_of(options)
+
+
+@pytest.mark.parametrize("command", ["basis", "derive", "verify", "compare", "analyze", "export"])
+@settings(_CONTRACT, max_examples=300)
+@given(data=st.data())
+def test_exact_argv_keeps_the_failure_contract(tmp_path, capsys, monkeypatch, command, data):
+    # run in the empty tmp_path, so any file the run creates shows up there
+    monkeypatch.chdir(tmp_path)
+    # half the argvs are valid ones, so that the handlers run as often as
+    # the refusals
+    valid = data.draw(st.booleans())
+    options = data.draw(st.lists(_exact_options(command, tmp_path, valid), max_size=5))
+    if not valid:
+        for stray in data.draw(st.lists(_STRAY, max_size=1)):
+            options.insert(data.draw(st.integers(0, len(options))), stray)
+    argv = [command, *(token for option in options for token in option)]
+    out = tmp_path / "exact.out"
+    try:
+        code, stdout, err = _run(capsys, argv)
+        event(f"exit {code}")
+        # only a report of mismatches exits 2
+        assert code in (EXIT_OK, EXIT_USAGE) or (command, code) == ("compare", EXIT_VIOLATION)
+        assert code != EXIT_USAGE or not valid
+        assert err.count("\n") <= 1
+        if code == EXIT_USAGE:
+            assert stdout == ""
+            assert err.startswith("usage error: ") and err.endswith("\n")
+            assert not any(tmp_path.iterdir())
+        else:
+            assert err == ""
+            # the output went to --out, or else to stdout
+            assert (stdout == "") == ("--out" in argv)
+            assert stdout or out.read_text(encoding="utf-8")
+            assert [path.name for path in tmp_path.iterdir()] == ([] if stdout else [out.name])
+    finally:
+        out.unlink(missing_ok=True)
 
 
 # -- import ----------------------------------------------------------------------

@@ -4,8 +4,9 @@
 gate set (oracle or printed), input mode (fixed state or Haar) and
 channel 0, 3 and 8, a 300-trial seeded batch; and
 `analysis.expected_fidelities` for two fixed states on channels 0, 4 and
-8.  Outcomes and recovery flags must match exactly; every float must match
-to 1e-12.  Byte identity of the CLI output is the benchmark's check, since
+8.  A batch's figures are read from its `run_trial` records, each checked
+against its row of the batch columns.  Outcomes and recovery flags must
+match exactly; every float must match to 1e-12.  Byte identity of the CLI output is the benchmark's check, since
 the last bits of a float can differ between machines.
 
 Regenerate the file with `python tests/test_golden_simulate.py` only when
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from batch_replay import batch_records
 from qutrit_teleport import analysis
-from qutrit_teleport.simulate import run_batch_records
 
 GOLDEN = Path(__file__).with_name("golden_simulate.json")
 TOL = 1e-12
@@ -50,7 +51,7 @@ def _batch_key(gates, mode, channel):
 
 
 def observe_batch(gates, mode, channel) -> dict:
-    summary, records = run_batch_records(
+    summary, _, records = batch_records(
         channel,
         TRIALS,
         MASTER_SEED,

@@ -2,7 +2,9 @@
 
 The oracle below is the record-and-dict path the CLI used before it wrote
 from the batch columns: every trial as a `TrialRecord`, then a dict, then
-`dumps_canonical` for JSON, and `csv.writer` for CSV.  The summary is
+`dumps_canonical` for JSON, and `csv.writer` for CSV.  A real batch's
+records are the `run_trial` replays of its rows (`batch_records`), so the
+oracle does not read the columns it checks.  The summary is
 spelled out field by field, as the writer once did before it took
 `dataclasses.asdict`.  The writer must
 reproduce its bytes for every batch, real or synthetic.
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batch_replay import batch_records
 from qutrit_teleport import serialize, simulate
 from qutrit_teleport.simulate import EVENT_LOG, BatchSummary, TrialRecord
 
@@ -102,18 +105,14 @@ def assert_writer_matches_oracle(summary, columns, records, master_seed, mode, p
 @pytest.mark.parametrize("channel", range(9))
 def test_real_batches_match_the_oracle(channel, haar, paper):
     state = None if haar else (0.6, 0.48j, 0.64)
-    args = (channel, 40, 1000 + channel, state, haar, paper)
-    summary, columns = simulate.run_batch_columns(*args)
-    _, records = simulate.run_batch_records(*args)
+    summary, columns, records = batch_records(channel, 40, 1000 + channel, state, haar, paper)
     mode = "haar" if haar else "fixed"
     assert_writer_matches_oracle(summary, columns, records, 1000 + channel, mode, paper)
 
 
 def test_batch_past_one_piece_matches_the_oracle():
     trials = 2 * serialize._PIECE_TRIALS + 1
-    args = (0, trials, 2**64 - 1, None, True, False)
-    summary, columns = simulate.run_batch_columns(*args)
-    _, records = simulate.run_batch_records(*args)
+    summary, columns, records = batch_records(0, trials, 2**64 - 1, None, True, False)
     assert_writer_matches_oracle(summary, columns, records, 2**64 - 1, "haar", False)
     pieces = list(serialize.simulation_pieces(summary, columns, 0, "haar", False, "json"))
     # head, three pieces of trials, tail
@@ -134,7 +133,7 @@ def _floats(n):
 @st.composite
 def _synthetic_batches(draw):
     """(summary, columns, records): columns as `run_batch_columns` returns
-    them and the records `run_batch_records` would build from them."""
+    them and the records they stand for."""
     n = draw(st.integers(1, 9))
     haar = draw(st.booleans())
     amplitudes = np.array(draw(_floats(6 * (n if haar else 1)))).reshape(-1, 3, 2)
