@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import engine
 from .exact import ExtScalar
-from .linalg import Operator3
+from .linalg import Operator3, _gram
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,12 +84,10 @@ def profile_gate(
 
 
 def completeness(i: int) -> Operator3:
-    """Exact sum_k G_k^T G_k for a channel, as a bare matrix."""
-    total = Operator3.zero()
-    for k in range(9):
-        g = engine.derive_gate(i, k)
-        total = total + (g.dagger() @ g)
-    return total
+    """Exact sum_k G_k^T G_k for a channel, as a bare matrix: the Gram
+    matrix of the columns of the nine gates stacked as 27 rows."""
+    rows = [row for k in range(9) for row in engine.derive_gate(i, k).rows]
+    return Operator3(_gram(tuple(zip(*rows))))
 
 
 @lru_cache(maxsize=None)
@@ -166,12 +164,12 @@ def recovery(g: Operator3) -> Optional[Operator3]:
     the required cube root; the overall scale never affects the recovered
     ray.
     """
-    d = g.det()
+    adj, d = g.adjugate_and_det()
     if d.is_zero():
         return None
-    inv = g.adjugate().scaled(d.inverse())
-    det_inv = inv.det()
-    magnitude = det_inv if float(det_inv) > 0 else -det_inv
+    d_inv = d.inverse()  # det(G^-1) = 1/det G
+    inv = adj.scaled(d_inv)
+    magnitude = d_inv if float(d_inv) > 0 else -d_inv
     root = _field_cbrt(magnitude)
     if root is not None and not root.is_zero():
         inv = inv.scaled(root.inverse())

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import INV_SQRT2, INV_SQRT3, INV_SQRT6, ZERO
-from .linalg import Operator3
+from .exact import INV_SQRT2, INV_SQRT3, INV_SQRT6, _dot
+from .linalg import Operator3, _gram
 
 FAMILY_SINGLET = "singlet"
 FAMILY_BELL_LIKE = "bell_like"
@@ -67,23 +67,21 @@ def entangled_state(index: int) -> Operator3:
     return Operator3.from_terms(scale, terms)
 
 
+def _amplitude_table() -> tuple:
+    """The 9x9 table whose row i is the flat amplitude list of Psi_i."""
+    return tuple(entangled_state(i).flat() for i in range(9))
+
+
 def gram_matrix() -> tuple:
-    """9x9 matrix of pairwise inner products <Psi_a|Psi_b> = tr(M_a^T M_b)."""
-    grids = [entangled_state(i) for i in range(9)]
-    return tuple(tuple(x.frobenius(y) for y in grids) for x in grids)
+    """9x9 matrix of pairwise inner products <Psi_a|Psi_b> = tr(M_a^T M_b),
+    the Gram matrix of the amplitude table's rows."""
+    return _gram(_amplitude_table())
 
 
 def projector_sum() -> tuple:
-    """sum_i |Psi_i><Psi_i| as an exact 9x9 matrix (completeness check)."""
-    out = [[ZERO] * 9 for _ in range(9)]
-    for i in range(9):
-        amps = entangled_state(i).flat()
-        for r in range(9):
-            if amps[r].is_zero():
-                continue
-            for c in range(9):
-                out[r][c] = out[r][c] + amps[r] * amps[c]
-    return tuple(tuple(row) for row in out)
+    """sum_i |Psi_i><Psi_i| as an exact 9x9 matrix (completeness check),
+    the Gram matrix of the amplitude table's columns."""
+    return _gram(tuple(zip(*_amplitude_table())))
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +99,5 @@ def expand_product(a2: int, b: int) -> ExpansionRow:
 
 def reconstruct_product(row: ExpansionRow) -> Operator3:
     """sum_i coefficients[i] * M_i; equals the matrix unit E_{a2,b}."""
-    total = Operator3.zero()
-    for i in range(9):
-        total = total + entangled_state(i).scaled(row.coefficients[i])
-    return total
+    flat = [_dot(row.coefficients, column) for column in zip(*_amplitude_table())]
+    return Operator3((tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])))

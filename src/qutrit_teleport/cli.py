@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
 def _emit(text, out: Optional[str]) -> None:
     """Write `text`, a string or an iterable of string pieces."""
     pieces = (text,) if isinstance(text, str) else text
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
@@ -395,6 +395,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
+    except SystemExit as exc:
+        # -h, --help and --version print and then exit through argparse;
+        # its usage errors come back as _UsageError instead
+        return exc.code
     except OSError as exc:
         # Every file a handler opens reports its own OSError, so writing
         # stdout failed.  A reader that closed it (as `| head` does) ends the

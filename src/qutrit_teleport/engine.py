@@ -22,8 +22,8 @@ holds the coefficient of c_j on |b>.
 The paper's identities are checked by an independent route that never
 calls the product: `delta_qt` redoes the projection of the 27-entry
 composite, and `reconstruction_residual` resums the decomposition entry
-by entry.  Both sum their products with `linalg._dot`, which adds integer
-numerators and reduces once per entry.
+by entry.  Both sum their products with `exact._dot`, the field's one
+product-sum, which adds integer numerators and reduces once per entry.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .basis import entangled_state
-from .linalg import Operator3, _dot
+from .exact import _dot
+from .linalg import Operator3
 
 
 @lru_cache(maxsize=None)

@@ -51,6 +51,36 @@ def _reduced(n1: int, n2: int, n3: int, n6: int, d: int) -> "ExtScalar":
     return _raw((n1 // g, n2 // g, n3 // g, n6 // g, d // g))
 
 
+def _dot(xs, ys) -> "ExtScalar":
+    """sum(x * y for x, y in zip(xs, ys)), reduced once.
+
+    The field's one multiplication table: `ExtScalar.__mul__` is the
+    one-term sum, and every product-sum of the package comes here (matrix
+    products, `Operator3.frobenius`, the adjugate and determinant, the Gram
+    matrices of `linalg._gram` and the residuals in `engine`).  Products are
+    summed as integer numerators over the lcm of their denominators, and
+    zero factors are skipped, so a sum gcd-reduces one element only.
+    """
+    s1 = s2 = s3 = s6 = 0
+    d = 1
+    for x, y in zip(xs, ys):
+        a1, a2, a3, a6, da = x._n
+        b1, b2, b3, b6, db = y._n
+        if not (a1 or a2 or a3 or a6) or not (b1 or b2 or b3 or b6):
+            continue
+        e = da * db
+        if d % e:
+            f = lcm(d, e) // d
+            s1, s2, s3, s6, d = s1 * f, s2 * f, s3 * f, s6 * f, d * f
+        f = d // e
+        # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
+        s1 += f * (a1 * b1 + 2 * a2 * b2 + 3 * a3 * b3 + 6 * a6 * b6)
+        s2 += f * (a1 * b2 + a2 * b1 + 3 * (a3 * b6 + a6 * b3))
+        s3 += f * (a1 * b3 + a3 * b1 + 2 * (a2 * b6 + a6 * b2))
+        s6 += f * (a1 * b6 + a6 * b1 + a2 * b3 + a3 * b2)
+    return _reduced(s1, s2, s3, s6, d)
+
+
 class ExtScalar:
     """q1 + q2*sqrt2 + q3*sqrt3 + q6*sqrt6 with exact rational components."""
 
@@ -113,22 +143,13 @@ class ExtScalar:
         return _raw((-n1, -n2, -n3, -n6, d))
 
     def __mul__(self, other: ExtScalar | int | Fraction) -> "ExtScalar":
-        a1, a2, a3, a6, da = self._n
         if isinstance(other, ExtScalar):
-            b1, b2, b3, b6, db = other._n
-        elif isinstance(other, (int, Fraction)):
+            return _dot((self,), (other,))
+        if isinstance(other, (int, Fraction)):
             p, q = _ratio(other)
+            a1, a2, a3, a6, da = self._n
             return _reduced(a1 * p, a2 * p, a3 * p, a6 * p, da * q)
-        else:
-            return NotImplemented
-        # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
-        return _reduced(
-            a1 * b1 + 2 * a2 * b2 + 3 * a3 * b3 + 6 * a6 * b6,
-            a1 * b2 + a2 * b1 + 3 * (a3 * b6 + a6 * b3),
-            a1 * b3 + a3 * b1 + 2 * (a2 * b6 + a6 * b2),
-            a1 * b6 + a6 * b1 + a2 * b3 + a3 * b2,
-            da * db,
-        )
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -10,45 +10,22 @@ and the provenance string of the JSON wire form belongs to `serialize`.
 
 `flat` is the one row-major flattening (entry (r, c) at index 3*r + c,
 so a state grid's flat index is 3*a2 + b), and `frobenius` the one inner
-product.  The coefficient field is real, so the adjoint of an operator is
-its transpose.
+product.  Each entry of a product, an adjugate, a determinant or a Gram
+matrix (`_gram`) is one `exact._dot`.  The coefficient field is real, so
+the adjoint of an operator is its transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from .exact import ONE, ZERO, ExtScalar, _reduced
+from .exact import ONE, ZERO, ExtScalar, _dot
 
 
-def _dot(xs, ys) -> ExtScalar:
-    """sum(x * y for x, y in zip(xs, ys)), reduced once.
-
-    The products are summed as integer numerators over the lcm of their
-    denominators, and zero factors are skipped, so a sum allocates and
-    gcd-reduces one element rather than one per product and partial sum.
-    Every product-sum of the package goes through here: matrix products,
-    `Operator3.frobenius` and the residuals in `engine`.
-    """
-    s1 = s2 = s3 = s6 = 0
-    d = 1
-    for x, y in zip(xs, ys):
-        a1, a2, a3, a6, da = x._n
-        b1, b2, b3, b6, db = y._n
-        if not (a1 or a2 or a3 or a6) or not (b1 or b2 or b3 or b6):
-            continue
-        e = da * db
-        if d % e:
-            f = lcm(d, e) // d
-            s1, s2, s3, s6, d = s1 * f, s2 * f, s3 * f, s6 * f, d * f
-        f = d // e
-        # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
-        s1 += f * (a1 * b1 + 2 * a2 * b2 + 3 * a3 * b3 + 6 * a6 * b6)
-        s2 += f * (a1 * b2 + a2 * b1 + 3 * (a3 * b6 + a6 * b3))
-        s3 += f * (a1 * b3 + a3 * b1 + 2 * (a2 * b6 + a6 * b2))
-        s6 += f * (a1 * b6 + a6 * b1 + a2 * b3 + a3 * b2)
-    return _reduced(s1, s2, s3, s6, d)
+def _gram(vectors) -> tuple:
+    """The Gram matrix of `vectors`: entry (a, b) is the dot product of
+    vectors a and b, as one `_dot`."""
+    return tuple(tuple(_dot(x, y) for y in vectors) for x in vectors)
 
 
 @dataclass(frozen=True)
@@ -117,32 +94,35 @@ class Operator3:
     def trace(self) -> ExtScalar:
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
 
-    def det(self) -> ExtScalar:
+    def adjugate(self) -> "Operator3":
+        """Transpose of the cofactor matrix.  Entry (i, j) is cofactor (j, i),
+        r[a][c] r[b][d] - r[a][d] r[b][c] with (a, b) the two indices after j
+        and (c, d) the two after i, cyclically, so no sign table is needed."""
         r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+        after = ((1, 2), (2, 0), (0, 1))
+        return Operator3(
+            tuple(
+                tuple(_dot((r[a][c], -r[a][d]), (r[b][d], r[b][c])) for a, b in after)
+                for c, d in after
+            )
         )
 
-    def adjugate(self) -> "Operator3":
-        r = self.rows
-        cof = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                a, b = [x for x in range(3) if x != i]
-                c, d = [x for x in range(3) if x != j]
-                minor = r[a][c] * r[b][d] - r[a][d] * r[b][c]
-                cof[i][j] = minor if (i + j) % 2 == 0 else -minor
-        # adjugate = transpose of cofactor matrix
-        return Operator3(tuple(tuple(cof[j][i] for j in range(3)) for i in range(3)))
+    def adjugate_and_det(self) -> tuple:
+        """(adjugate, det).  Column 0 of the adjugate holds the cofactors of
+        row 0, so the determinant is their expansion, one more `_dot`."""
+        adj = self.adjugate()
+        return adj, _dot(self.rows[0], (row[0] for row in adj.rows))
+
+    def det(self) -> ExtScalar:
+        return self.adjugate_and_det()[1]
 
     def rank(self) -> int:
         """Exact rank: 3 if det != 0, else 2 if some 2x2 minor (an entry of
         the adjugate) is nonzero, else 1 or 0."""
-        if not self.det().is_zero():
+        adj, det = self.adjugate_and_det()
+        if not det.is_zero():
             return 3
-        if not self.adjugate().is_zero():
+        if not adj.is_zero():
             return 2
         return 0 if self.is_zero() else 1
 

@@ -111,6 +111,23 @@ class BatchSummary:
     chi_square_flagged: bool
 
 
+def _index(name: str, value) -> int:
+    """`value` as an int; a bool or a non-integer raises TypeError naming `name`."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
+
+
+def _check_channel(channel) -> int:
+    channel = _index("channel", channel)
+    if not 0 <= channel <= 8:
+        raise ValueError(f"channel index {channel} out of range 0..8")
+    return channel
+
+
 def run_trial(
     channel: int,
     input_state: Sequence[complex],
@@ -118,8 +135,7 @@ def run_trial(
     use_paper_gates: bool = False,
 ) -> TrialRecord:
     """One protocol round.  Deterministic in (channel, input_state, seed)."""
-    if not 0 <= channel <= 8:
-        raise ValueError(f"channel index {channel} out of range 0..8")
+    channel = _check_channel(channel)
     phi = analysis.as_state(input_state)
     gates, effects, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
 
@@ -251,7 +267,7 @@ def trial_seeds(master_seed: int, n: int) -> np.ndarray:
     ``SeedSequence(master_seed).spawn(n)[t].generate_state(2, np.uint64)``.
     Child t hashes the master's words, zero-padded to the pool size, and
     then t, so only that last step makes (4, n) blocks."""
-    master_seed = operator.index(master_seed)
+    master_seed = _index("master_seed", master_seed)
     if master_seed < 0:
         raise ValueError("expected non-negative integer")
     if n >= _MAX_TRIALS:
@@ -393,13 +409,13 @@ def run_batch_columns(
     same numpy ziggurat tables, BLAS dot and gemv kernels and libm
     ``hypot``/``pow`` as `run_trial` on one row.
     """
+    trials = _index("trials", trials)
     if trials < 1:
         raise ValueError("need at least one trial")
     if haar == (input_state is not None):
         raise ValueError("choose exactly one of a fixed input state or haar mode")
     fixed_phi = None if haar else analysis.as_state(input_state)
-    if not 0 <= channel <= 8:
-        raise ValueError(f"channel index {channel} out of range 0..8")
+    channel = _check_channel(channel)
     gates, effects, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
 
     state_seeds, seed_column = trial_seeds(master_seed, trials)

@@ -66,6 +66,39 @@ def test_completeness_every_channel_exact():
         assert completeness(i) == Operator3.identity()
 
 
+def _completeness_loop(gates):
+    """sum_k G_k^T G_k by the accumulation loop `completeness` replaced."""
+    total = Operator3.zero()
+    for g in gates:
+        total = total + (g.dagger() @ g)
+    return total
+
+
+def _random_gate(rng):
+    def entry():
+        if rng.random() < 0.4:
+            return ExtScalar()
+        return ExtScalar(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)))
+
+    return Operator3(tuple(tuple(entry() for _ in range(3)) for _ in range(3)))
+
+
+@pytest.mark.parametrize("source", ["oracle", "printed", "random"])
+def test_completeness_equals_the_summed_effects(monkeypatch, source):
+    # the Gram matrix of the 27 stacked gate rows' columns, against the sum
+    # of G^T G; printed and random gates give sums other than the identity
+    if source == "printed":
+        monkeypatch.setattr(engine, "derive_gate", published.paper_gate)
+    elif source == "random":
+        rng = random.Random(29)
+        table = {(i, k): _random_gate(rng) for i in range(9) for k in range(9)}
+        monkeypatch.setattr(engine, "derive_gate", lambda i, k: table[i, k])
+    sums = [completeness(i) for i in range(9)]
+    for i in range(9):
+        assert sums[i] == _completeness_loop(engine.derive_gate(i, k) for k in range(9))
+    assert (source == "oracle") == all(s == Operator3.identity() for s in sums)
+
+
 def test_channel_census_counts():
     assert channel_census(0) == {
         CLASS_PROP_UNITARY: 1,

@@ -1,9 +1,11 @@
 """The entangled basis: construction, orthonormality, inversion rows."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from qutrit_teleport import basis
 from qutrit_teleport.basis import (
     FAMILY_BELL_LIKE,
     FAMILY_OCTET,
@@ -83,6 +85,40 @@ def test_projector_completeness():
     for r in range(9):
         for c in range(9):
             assert total[r][c] == (ONE if r == c else ZERO)
+
+
+def _projector_loop(grids):
+    """sum_i |Psi_i><Psi_i| by the accumulation loop `projector_sum` replaced."""
+    out = [[ZERO] * 9 for _ in range(9)]
+    for grid in grids:
+        amps = grid.flat()
+        for r in range(9):
+            for c in range(9):
+                out[r][c] = out[r][c] + amps[r] * amps[c]
+    return tuple(tuple(row) for row in out)
+
+
+def _random_grid(rng):
+    def entry():
+        if rng.random() < 0.4:
+            return ZERO
+        return ExtScalar(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)))
+
+    return Operator3(tuple(tuple(entry() for _ in range(3)) for _ in range(3)))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3], ids=["basis", "random1", "random2", "random3"])
+def test_gram_and_projector_sums_equal_their_loops(monkeypatch, seed):
+    # the Gram sums of the amplitude table's rows and columns, against the
+    # pairwise Frobenius products and the projector loop, on the basis and
+    # on random grids, where neither sum is the identity
+    grids = [entangled_state(i) for i in range(9)]
+    if seed is not None:
+        rng = random.Random(seed)
+        grids = [_random_grid(rng) for _ in range(9)]
+        monkeypatch.setattr(basis, "entangled_state", grids.__getitem__)
+    assert gram_matrix() == tuple(tuple(x.frobenius(y) for y in grids) for x in grids)
+    assert projector_sum() == _projector_loop(grids)
 
 
 def test_expansion_row_00():

@@ -581,19 +581,43 @@ def test_import_unreadable_path_is_a_usage_error(tmp_path, capsys, name):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("name", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "name", ["missing/x.json", ".", ""], ids=["missing-dir", "directory", "empty"]
+)
 @pytest.mark.parametrize(
     "argv",
     [["export"], ["verify"], ["simulate", "--channel", "0", "--trials", "3", "--haar"]],
     ids=["export", "verify", "simulate"],
 )
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, name):
-    path = str(tmp_path / name)
+    # the empty path (`--out=`) names no file, so it must not mean stdout
+    path = str(tmp_path / name) if name else ""
     code, out, err = run_cli(capsys, [*argv, "--out", path])
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith(f"usage error: cannot write {path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["--version"], f"qutrit-teleport {qutrit_teleport.__version__}\n"),
+        (["-h"], "usage: qutrit-teleport "),
+        (["--help"], "usage: qutrit-teleport "),
+        (["basis", "-h"], "usage: qutrit-teleport basis "),
+        (["simulate", "--help"], "usage: qutrit-teleport simulate "),
+        (["verify", "--out", "x.out", "-h"], "usage: qutrit-teleport verify "),
+    ],
+)
+def test_help_and_version_return_0_in_process(tmp_path, capsys, monkeypatch, argv, printed):
+    # argparse prints and exits for these flags; `main` returns the code
+    # instead of raising, as it does for every other argv
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith(printed)
+    assert not any(tmp_path.iterdir())
 
 
 _JSON_VALUES = st.recursive(

@@ -7,7 +7,9 @@ warning would be a second stderr line in a real process, so warnings are
 errors here.  Accepted trial counts stay at or below 10**4, so each
 example is cheap; the invalid counts must be refused before the batch
 allocates anything.  No argv holds ``-h``: help, like ``--version``,
-prints and exits through argparse by design.
+prints to stdout even when ``--out`` is given, and `test_cli.py` covers
+both.  Each test runs at least its own number of examples, more under a
+profile that asks for more.
 """
 
 import json
@@ -23,7 +25,7 @@ from qutrit_teleport import analysis, engine, serialize
 from qutrit_teleport.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 _CONTRACT = settings(
-    max_examples=500,
+    max_examples=max(500, settings.default.max_examples),
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
@@ -69,11 +71,16 @@ _STATES = (
     | st.lists(_NUMBER_TEXT, min_size=6, max_size=6).map(",".join)
     | st.lists(_NUMBER_TEXT | st.text(max_size=4), max_size=8).map(",".join)
 )
-_OUT_NAMES = st.sampled_from(["sim.out", "other.out", "missing/sim.out", "."])
+_OUT_NAMES = st.sampled_from(["sim.out", "other.out", "missing/sim.out", ".", ""])
+
+
+def _out_path(out_dir, name):
+    """`name` under `out_dir`; the empty name stays the empty path."""
+    return str(out_dir / name) if name else ""
 
 
 def _options(out_dir):
-    out = _OUT_NAMES.map(lambda name: ["--out", str(out_dir / name)])
+    out = _OUT_NAMES.map(lambda name: ["--out", _out_path(out_dir, name)])
     return st.one_of(
         _CHANNEL_TEXT.map(lambda c: ["--channel", c]),
         _TRIALS.map(lambda t: ["--trials", t]),
@@ -148,7 +155,8 @@ _BAD_INDEX = st.sampled_from(
 ) | st.text(max_size=3).filter(lambda t: not t.startswith("-"))
 _BAD_FORMATS = ["xml", "", "JSON"]
 # --out paths that cannot be written
-_BAD_OUT = ["missing/exact.out", "."] + (["/dev/full"] if os.path.exists("/dev/full") else [])
+_BAD_OUT = ["missing/exact.out", ".", ""]
+_BAD_OUT += ["/dev/full"] if os.path.exists("/dev/full") else []
 # tokens no subcommand here accepts, and options left without their value
 # (a bare --out is left out: it would write to the token after it)
 _STRAY = st.sampled_from(
@@ -163,7 +171,7 @@ def _exact_options(command, out_dir, valid):
         return st.sampled_from(good) if valid else st.sampled_from(good) | bad
 
     outs = values(["exact.out"], st.sampled_from(_BAD_OUT))
-    options = [outs.map(lambda name: ["--out", str(out_dir / name)])]
+    options = [outs.map(lambda name: ["--out", _out_path(out_dir, name)])]
     if command in _FORMATS:
         formats = values(_FORMATS[command], st.sampled_from(_BAD_FORMATS))
         options += [formats.map(lambda f: ["--format", f]), formats.map(lambda f: [f"--format={f}"])]
@@ -180,7 +188,7 @@ def _exact_options(command, out_dir, valid):
 
 
 @pytest.mark.parametrize("command", ["basis", "derive", "verify", "compare", "analyze", "export"])
-@settings(_CONTRACT, max_examples=300)
+@settings(_CONTRACT, max_examples=max(300, settings.default.max_examples))
 @given(data=st.data())
 def test_exact_argv_keeps_the_failure_contract(tmp_path, capsys, monkeypatch, command, data):
     # run in the empty tmp_path, so any file the run creates shows up there

@@ -11,8 +11,9 @@ from hypothesis import given, strategies as st
 from qutrit_teleport import engine
 from qutrit_teleport.analysis import gate_matrix
 from qutrit_teleport.basis import entangled_state
-from qutrit_teleport.exact import INV_SQRT6, ONE, ZERO, ExtScalar, rational
-from qutrit_teleport.linalg import Operator3, _dot
+from qutrit_teleport.exact import INV_SQRT6, ONE, ZERO, ExtScalar, _dot, rational
+from qutrit_teleport.linalg import Operator3
+from test_exact import _FractionScalar
 from qutrit_teleport.published import paper_gate, paper_premeasure
 from qutrit_teleport.render import premeasure_text
 
@@ -172,9 +173,43 @@ _elements = st.one_of(
 )
 
 
+def _reference(x):
+    return _FractionScalar(x.q1, x.q2, x.q3, x.q6)
+
+
 @given(st.lists(st.tuples(_elements, _elements), max_size=9))
 def test_dot_equals_the_sum_of_the_products(pairs):
+    # the reference is the four-Fraction arithmetic of test_exact.py, which
+    # writes out its own multiplication table: ExtScalar.__mul__ is _dot
     got = _dot([x for x, _ in pairs], [y for _, y in pairs])
-    assert got._n == sum((x * y for x, y in pairs), ZERO)._n
+    expected = _FractionScalar(0, 0, 0, 0)
+    for x, y in pairs:
+        expected = expected + _reference(x) * _reference(y)
+    assert (got.q1, got.q2, got.q3, got.q6) == expected.q
     n1, n2, n3, n6, d = got._n
     assert d > 0 and math.gcd(n1, n2, n3, n6, d) == 1  # canonical form
+
+
+_operators = st.lists(_elements, min_size=9, max_size=9).map(
+    lambda xs: Operator3((tuple(xs[0:3]), tuple(xs[3:6]), tuple(xs[6:9])))
+)
+
+
+@given(_operators | _operators.map(lambda m: Operator3((m.rows[0], m.rows[1], m.rows[0]))))
+def test_det_and_adjugate_equal_the_written_out_cofactor_formulas(m):
+    r = [[_reference(x) for x in row] for row in m.rows]
+
+    def minor(a, b, c, d):
+        return r[a][c] * r[b][d] - r[a][d] * r[b][c]
+
+    det = r[0][0] * minor(1, 2, 1, 2) - r[0][1] * minor(1, 2, 0, 2) + r[0][2] * minor(1, 2, 0, 1)
+    assert _reference(m.det()).q == det.q
+    adj, det_too = m.adjugate_and_det()
+    assert det_too == m.det()
+    for i in range(3):
+        for j in range(3):
+            # adjugate entry (i, j) is the signed minor of (j, i)
+            a, b = [x for x in range(3) if x != j]
+            c, d = [x for x in range(3) if x != i]
+            cofactor = minor(a, b, c, d) if (i + j) % 2 == 0 else -minor(a, b, c, d)
+            assert _reference(adj.entry(i, j)).q == cofactor.q

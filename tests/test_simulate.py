@@ -194,6 +194,49 @@ def test_input_validation():
         run_trial(9, KET0, seed=0)
 
 
+_VALID_ARGUMENTS = {
+    run_batch: dict(channel=0, trials=10, master_seed=0, haar=True),
+    run_trial: dict(channel=0, input_state=KET0, seed=0),
+    trial_seeds: dict(master_seed=0, n=3),
+}
+
+
+@pytest.mark.parametrize(
+    "function, changed, error, message",
+    [
+        (run_batch, dict(trials=2.5), TypeError, "trials must be an integer, not float"),
+        (run_batch, dict(trials=True), TypeError, "trials must be an integer, not bool"),
+        (run_batch, dict(trials="10"), TypeError, "trials must be an integer, not str"),
+        (run_batch, dict(trials=0), ValueError, "need at least one trial"),
+        (run_batch, dict(channel=True), TypeError, "channel must be an integer, not bool"),
+        (run_batch, dict(channel=1.0), TypeError, "channel must be an integer, not float"),
+        (run_batch, dict(channel=None), TypeError, "channel must be an integer, not NoneType"),
+        (run_batch, dict(channel=9), ValueError, "channel index 9 out of range 0..8"),
+        (run_batch, dict(channel=-1), ValueError, "channel index -1 out of range 0..8"),
+        (run_batch, dict(master_seed=True), TypeError, "master_seed must be an integer, not bool"),
+        (run_batch, dict(master_seed=0.0), TypeError, "master_seed must be an integer, not float"),
+        (run_trial, dict(channel=True), TypeError, "channel must be an integer, not bool"),
+        (run_trial, dict(channel=1.0), TypeError, "channel must be an integer, not float"),
+        (run_trial, dict(channel="0"), TypeError, "channel must be an integer, not str"),
+        (run_trial, dict(channel=9), ValueError, "channel index 9 out of range 0..8"),
+        (trial_seeds, dict(master_seed=False),
+         TypeError, "master_seed must be an integer, not bool"),
+    ],
+)
+def test_library_arguments_are_checked_by_name(function, changed, error, message):
+    with pytest.raises(error) as raised:
+        function(**{**_VALID_ARGUMENTS[function], **changed})
+    assert str(raised.value) == message
+
+
+def test_integer_like_arguments_run_as_their_int():
+    # numpy integers pass through operator.index, and the summary holds ints
+    summary = run_batch(np.int64(3), np.uint16(10), np.int8(5), haar=True)
+    assert summary == run_batch(3, 10, 5, haar=True)
+    assert type(summary.channel) is int
+    assert run_trial(np.int32(8), KET0, seed=7) == run_trial(8, KET0, seed=7)
+
+
 REPLAY_STATE = (0.5, 0.5j, 0.5 + 0.5j)
 
 
