@@ -18,6 +18,10 @@ the Born rule and the post-measurement fidelity, and `normalized` divides
 states by their norm.  Each takes one state or a stack of states and
 gives every row the bits it gives that row alone.  It imports numpy when
 first called, so the exact layer runs without it.
+
+Indices go through `basis._check_index`.  The caches are typed, so a bool
+never reads an int's entry; callers pass the checked int on, so a numpy
+integer shares its channel's one entry.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import engine
-from .exact import ExtScalar
+from .basis import _check_index
+from .exact import ExtScalar, _signed_terms
 from .linalg import Operator3, _gram
 
 if TYPE_CHECKING:
@@ -86,27 +91,27 @@ def profile_gate(
 def completeness(i: int) -> Operator3:
     """Exact sum_k G_k^T G_k for a channel, as a bare matrix: the Gram
     matrix of the columns of the nine gates stacked as 27 rows."""
+    i = _check_index("channel", i)
     rows = [row for k in range(9) for row in engine.derive_gate(i, k).rows]
     return Operator3(_gram(tuple(zip(*rows))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def channel_profiles(i: int) -> tuple[GateProfile, ...]:
     """Profiles of one channel's nine oracle gates, in outcome order."""
+    i = _check_index("channel", i)
     return tuple(profile_gate(engine.derive_gate(i, k), i, k) for k in range(9))
 
 
 def channel_census(i: int) -> dict:
     """Gate counts per classification for one channel's oracle gates."""
     counts = {CLASS_PROP_UNITARY: 0, CLASS_INVERTIBLE: 0, CLASS_SINGULAR: 0}
-    for p in channel_profiles(i):
+    for p in channel_profiles(_check_index("channel", i)):
         counts[p.classification] += 1
     return counts
 
 
 def _rational_cbrt(f: Fraction) -> Optional[Fraction]:
-    if f < 0:
-        return None
     num = _icbrt(f.numerator)
     den = _icbrt(f.denominator)
     if num is None or den is None:
@@ -134,25 +139,14 @@ def _icbrt(n: int) -> Optional[int]:
 
 
 def _field_cbrt(x: ExtScalar) -> Optional[ExtScalar]:
-    """Exact cube root within the field, for single-component elements."""
-    components = [
-        (x.q1, 1, "q1"),
-        (x.q2, 2, "q2"),
-        (x.q3, 3, "q3"),
-        (x.q6, 6, "q6"),
-    ]
-    nonzero = [(coeff, surd, name) for coeff, surd, name in components if coeff != 0]
-    if len(nonzero) != 1:
+    """Exact cube root within the field, for positive single-component elements."""
+    terms = list(_signed_terms(x, (1, 2, 3, 6)))
+    if len(terms) != 1 or terms[0][0] == "-":
         return None
-    coeff, surd, name = nonzero[0]
-    if surd == 1:
-        root = _rational_cbrt(coeff)
-        return ExtScalar(root) if root is not None else None
+    _, coeff, surd = terms[0]
     # (r*sqrt(m))^3 = r^3 * m * sqrt(m): need coeff/m to be a rational cube
     root = _rational_cbrt(coeff / surd)
-    if root is None:
-        return None
-    return ExtScalar(**{name: root})
+    return None if root is None else ExtScalar(**{f"q{surd}": root})
 
 
 def recovery(g: Operator3) -> Optional[Operator3]:
@@ -198,7 +192,7 @@ def gate_matrix(g: Operator3) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def numeric_channel(i: int, use_paper_gates: bool, /) -> NumericChannel:
     """Channel i's oracle gates in floats, or its printed gates.
 
@@ -207,6 +201,7 @@ def numeric_channel(i: int, use_paper_gates: bool, /) -> NumericChannel:
     """
     import numpy as np
 
+    i = _check_index("channel", i)
     if use_paper_gates:
         from . import published
 
@@ -300,16 +295,12 @@ def overlap(v: np.ndarray, gate: np.ndarray, rec: Optional[np.ndarray]) -> np.nd
 
 def outcome_distribution(i: int, phi: Sequence[complex]) -> np.ndarray:
     """Born probabilities over the nine outcomes for a normalized state."""
-    return born_weights(numeric_channel(i, False).effects, as_state(phi))
-
-
-def _check_outcome(k: int) -> None:
-    if not 0 <= k <= 8:
-        raise ValueError(f"outcome index {k} out of range 0..8")
+    effects = numeric_channel(_check_index("channel", i), False).effects
+    return born_weights(effects, as_state(phi))
 
 
 def outcome_probability(i: int, k: int, phi: Sequence[complex]) -> float:
-    _check_outcome(k)
+    k = _check_index("outcome", k)
     return float(outcome_distribution(i, phi)[k])
 
 
@@ -319,7 +310,7 @@ def fidelity_after_recovery(i: int, k: int, phi: Sequence[complex]) -> Optional[
     Raises ValueError when the outcome has zero probability for this input
     (the conditional state is undefined there).
     """
-    _check_outcome(k)
+    i, k = _check_index("channel", i), _check_index("outcome", k)
     v = as_state(phi)
     gates, effects, recoveries, invertible = numeric_channel(i, False)
     if born_weights(effects, v)[k] <= 1e-15:
@@ -340,7 +331,7 @@ def expected_fidelities(i: int, phi: Sequence[complex]) -> dict:
     import numpy as np
 
     v = as_state(phi)
-    gates, effects, recoveries, invertible = numeric_channel(i, False)
+    gates, effects, recoveries, invertible = numeric_channel(_check_index("channel", i), False)
     p = born_weights(effects, v)
     occurred = np.flatnonzero(p > 1e-15)
     recovered = occurred[invertible[occurred]]

@@ -12,10 +12,16 @@ output format.
 computational product state |a2>|b> in the entangled basis by exact
 projection, never by transcribing the printed identities (those
 transcriptions live in `published` and are diffed against these rows).
+
+`_check_index` is the package's one index rule.  Every index-keyed cache
+is ``lru_cache(typed=True)`` and checks on a miss: ``True`` and ``1.0``
+hash like ``1``, so an untyped cache would hand them the int's entry.  An
+unhashable index fails in the cache's key (``unhashable type``) instead.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,21 +55,30 @@ class ExpansionRow:
     coefficients: tuple  # indexed by entangled-state index 0..8
 
 
-def _check_index(index: int) -> None:
-    if not 0 <= index <= 8:
-        raise ValueError(f"entangled state index {index} out of range 0..8")
+def _check_index(name: str, value, size: int | None = 9) -> int:
+    """`operator.index(value)`; a bool or a non-integer raises TypeError, and
+    an int outside 0..size-1 ValueError (``size=None``: type check only)."""
+    if not isinstance(value, bool):
+        try:
+            index = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if size is None or 0 <= index < size:
+                return index
+            raise ValueError(f"{name} index {index} out of range 0..{size - 1}")
+    raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
 
 
 def family_of(index: int) -> str:
-    _check_index(index)
+    index = _check_index("entangled state", index)
     return {0: FAMILY_SINGLET, 8: FAMILY_OCTET}.get(index, FAMILY_BELL_LIKE)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def entangled_state(index: int) -> Operator3:
     """The exact coefficient grid M_i of the i-th entangled basis state."""
-    _check_index(index)
-    scale, terms = _STATE_TERMS[index]
+    scale, terms = _STATE_TERMS[_check_index("entangled state", index)]
     return Operator3.from_terms(scale, terms)
 
 
@@ -84,15 +99,14 @@ def projector_sum() -> tuple:
     return _gram(tuple(zip(*_amplitude_table())))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def expand_product(a2: int, b: int) -> ExpansionRow:
     """Entangled-basis expansion of |a2>|b>, by projection onto each state.
 
     Orthonormality (verified separately via `gram_matrix`) makes the
     projection coefficients exact and unique: <Psi_i|a2,b> = M_i[a2][b].
     """
-    if not (0 <= a2 <= 2 and 0 <= b <= 2):
-        raise ValueError("basis indices must lie in 0..2")
+    a2, b = _check_index("a2", a2, 3), _check_index("b", b, 3)
     coeffs = tuple(entangled_state(i).entry(a2, b) for i in range(9))
     return ExpansionRow(a2, b, coeffs)
 

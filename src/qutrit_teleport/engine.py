@@ -24,22 +24,26 @@ calls the product: `delta_qt` redoes the projection of the 27-entry
 composite, and `reconstruction_residual` resums the decomposition entry
 by entry.  Both sum their products with `exact._dot`, the field's one
 product-sum, which adds integer numerators and reduces once per entry.
+
+Indices go through `basis._check_index` as "channel" and "outcome".
+`derive_gate`'s cache is typed, so ``derive_gate(True, 0)`` raises
+instead of reading channel 1's entry.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .basis import entangled_state
+from .basis import _check_index, entangled_state
 from .exact import _dot
 from .linalg import Operator3
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def derive_gate(i: int, k: int) -> Operator3:
     """The 3x3 measurement gate G_ik for channel i and outcome k."""
-    m_i = entangled_state(i)
-    m_k = entangled_state(k)
+    m_i = entangled_state(_check_index("channel", i))
+    m_k = entangled_state(_check_index("outcome", k))
     return (m_k @ m_i).dagger()
 
 
@@ -58,8 +62,8 @@ def delta_qt(i: int, k: int, gate: Operator3) -> Operator3:
     every oracle gate; generally nonzero for transcribed gates that
     disagree with the derivation.
     """
-    m_k = entangled_state(k)
-    columns = tuple(zip(*entangled_state(i).rows))
+    columns = tuple(zip(*entangled_state(_check_index("channel", i)).rows))
+    m_k = entangled_state(_check_index("outcome", k))
     return Operator3(
         tuple(
             tuple(_dot(m_k.rows[j], columns[b]) - gate.entry(b, j) for j in range(3))
@@ -76,6 +80,7 @@ def reconstruction_residual(i: int) -> tuple:
     the coefficient of c_j in the composite amplitude; all 81 are zero
     exactly when the nine outcomes of channel i resum to its composite.
     """
+    i = _check_index("channel", i)
     m_i = entangled_state(i)
     states = [entangled_state(k) for k in range(9)]
     gates = [derive_gate(i, k) for k in range(9)]

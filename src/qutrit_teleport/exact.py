@@ -197,17 +197,22 @@ class ExtScalar:
 
     def __str__(self) -> str:
         text = ""
-        for coeff, surd in zip(self._fractions(), ("", "√2", "√3", "√6")):
-            if coeff:
-                mag = abs(coeff)
-                body = surd if surd and mag == 1 else f"{mag}·{surd}" if surd else f"{mag}"
-                text += f" {'-' if coeff < 0 else '+'} {body}"
+        for sign, mag, surd in _signed_terms(self, ("", "√2", "√3", "√6")):
+            body = surd if surd and mag == 1 else f"{mag}·{surd}" if surd else f"{mag}"
+            text += f" {sign} {body}"
         if not text:
             return "0"
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"ExtScalar({self})"
+
+
+def _signed_terms(x: ExtScalar, surds: tuple):
+    """(sign, |q|, label) per nonzero component q of `x`, in basis order."""
+    for coeff, surd in zip(x._fractions(), surds):
+        if coeff:
+            yield "-" if coeff < 0 else "+", abs(coeff), surd
 
 
 def rational(p: int, q: int = 1) -> ExtScalar:

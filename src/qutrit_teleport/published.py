@@ -7,10 +7,11 @@ anomalies (a lowercase gate label, hatted labels, swapped channel/outcome
 indices) and bracket defects.  Nothing in this module is computed from the
 printed values.  `paper_premeasure`, `paper_gate` and `paper_expansion`
 return the bare printed value (an `Operator3` or an `ExpansionRow`), built
-from its source row on first use and cached.  `compare_tables` builds each
-`ErrataEntry` straight from a source row: the row gives the label, notes
-and location, and the printed value is classified against the
-independently derived oracle value on one discrepancy ladder.
+from its source row on first use and held in a typed cache (see `basis`).
+`compare_tables` builds each `ErrataEntry` straight from a source row: the
+row gives the label, notes and location, and the printed value is
+classified against the independently derived oracle value on one
+discrepancy ladder.
 
 Transcription conventions, applied uniformly and recorded in entry notes:
 
@@ -36,7 +37,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import engine
-from .basis import ExpansionRow, expand_product
+from .basis import ExpansionRow, _check_index, expand_product
 from .exact import (
     INV_SQRT2,
     INV_SQRT3,
@@ -363,13 +364,14 @@ _EQ_LETTERS = "abcdefghi"
 
 def _source_row(source: dict, i: int, k: int, missing: str) -> tuple:
     """Row k of channel i in a printed grid table, by list position."""
+    i, k = _check_index("channel", i, None), _check_index("outcome", k, None)
     rows = source.get(i, ())
     if not 0 <= k < len(rows):
         raise KeyError(f"no printed {missing} for channel {i}, outcome {k}")
     return rows[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def paper_premeasure(i: int, k: int) -> Operator3:
     """The printed pre-measurement state; term (amplitude j, ket b, weight)
     sits at grid row b, column j."""
@@ -377,14 +379,15 @@ def paper_premeasure(i: int, k: int) -> Operator3:
     return Operator3.from_terms(scale, ((b, j, w) for j, b, w in terms))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def paper_gate(i: int, k: int) -> Operator3:
     _, scale, terms, _ = _source_row(_GATE_SRC, i, k, "gate")
     return Operator3.from_terms(scale, terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def paper_expansion(a2: int, b: int) -> ExpansionRow:
+    a2, b = _check_index("a2", a2, None), _check_index("b", b, None)
     try:
         _, scale, terms = _EXPANSION_SRC[(a2, b)]
     except KeyError:

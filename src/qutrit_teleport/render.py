@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import analysis, engine
-from .basis import entangled_state, expand_product, family_of, gram_matrix
-from .exact import ExtScalar
+from .basis import _check_index, entangled_state, expand_product, family_of, gram_matrix
+from .exact import ExtScalar, _signed_terms
 from .linalg import Operator3
 
 if TYPE_CHECKING:
@@ -27,6 +27,7 @@ ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 
 
 def channel_name(i: int, roman: bool = False) -> str:
+    i = _check_index("channel", i)
     return f"{i} ({ROMAN[i]})" if roman else str(i)
 
 
@@ -40,16 +41,12 @@ def _sum(terms, sep: str = " + ") -> str:
 
 def scalar_latex(x: ExtScalar) -> str:
     parts = []
-    for coeff, surd in zip(
-        (x.q1, x.q2, x.q3, x.q6), ("", "\\sqrt{2}", "\\sqrt{3}", "\\sqrt{6}")
-    ):
-        if coeff:
-            mag = abs(coeff)
-            if mag.denominator > 1:
-                body = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
-            else:
-                body = "" if surd and mag == 1 else str(mag)
-            parts.append(f"{'-' if coeff < 0 else '+'}{body}{surd}")
+    for sign, mag, surd in _signed_terms(x, ("", "\\sqrt{2}", "\\sqrt{3}", "\\sqrt{6}")):
+        if mag.denominator > 1:
+            body = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
+        else:
+            body = "" if surd and mag == 1 else str(mag)
+        parts.append(f"{sign}{body}{surd}")
     return _sum(parts, "").removeprefix("+")
 
 

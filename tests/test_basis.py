@@ -152,5 +152,5 @@ def test_expansion_rows_reconstruct_products_exactly():
 
 
 def test_expansion_index_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a2 index 3 out of range 0\.\.2$"):
         expand_product(3, 0)

@@ -8,8 +8,9 @@ errors here.  Accepted trial counts stay at or below 10**4, so each
 example is cheap; the invalid counts must be refused before the batch
 allocates anything.  No argv holds ``-h``: help, like ``--version``,
 prints to stdout even when ``--out`` is given, and `test_cli.py` covers
-both.  Each test runs at least its own number of examples, more under a
-profile that asks for more.
+both.  The library keeps the one index rule of `test_indices.py` for any
+object passed as an index.  Each test runs at least its own number of
+examples, more under a profile that asks for more.
 """
 
 import json
@@ -18,8 +19,10 @@ import os
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
+from test_indices import INDEX_ARGUMENTS, case_id, expected_error, with_index
 
 from qutrit_teleport import analysis, engine, serialize
 from qutrit_teleport.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
@@ -301,3 +304,38 @@ def test_import_files_keep_the_failure_contract(tmp_path, capsys, content):
     else:
         # a readable table that differs: the report on stdout
         assert code == EXIT_VIOLATION and " gates differ from the derivation: " in out
+
+
+# -- library index arguments ------------------------------------------------------
+
+_ANY_OBJECT = (
+    st.integers()
+    | st.integers(-2, 10).map(np.int64)
+    | st.integers(-2, 10).map(np.int32)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.fractions()
+    | st.decimals()
+    | st.complex_numbers()
+    | st.text(max_size=3)
+    | st.binary(max_size=3)
+    | st.lists(st.integers(0, 8), max_size=2)
+    | st.tuples(st.integers(0, 8))
+)
+
+
+@_CONTRACT
+@given(case=st.sampled_from(INDEX_ARGUMENTS), value=_ANY_OBJECT)
+def test_any_object_as_an_index_keeps_the_index_rule(case, value):
+    fn = case[0]
+    event(case_id(case))
+    fn(*case[1])  # the int's cache entry is warm
+    expected = expected_error(case, value)
+    if expected is None:
+        # an in-range integer of any type reads as the plain int
+        np.testing.assert_equal(fn(*with_index(case, value)), fn(*with_index(case, int(value))))
+        return
+    with pytest.raises(expected[0]) as info:
+        fn(*with_index(case, value))
+    assert info.type is expected[0] and info.value.args == (expected[1],)
