@@ -16,8 +16,10 @@ the recoveries zero at singular outcomes and a bool mask `invertible`
 beside them; `born_weights` and `overlap` are
 the Born rule and the post-measurement fidelity, and `normalized` divides
 states by their norm.  Each takes one state or a stack of states and
-gives every row the bits it gives that row alone.  It imports numpy when
-first called, so the exact layer runs without it.
+gives every row the bits it gives that row alone.  `born_weights` sums
+each outcome's nonzero effect entries on one contiguous row of an
+outcome-major (9, n) block and returns its (n, 9) transpose.  The layer
+imports numpy when first called, so the exact layer runs without it.
 
 Indices go through `basis._check_index`.  The caches are typed, so a bool
 never reads an int's entry; callers pass the checked int on, so a numpy
@@ -232,31 +234,78 @@ def as_state(phi: Sequence[complex]) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=256)
+def _born_terms(data: bytes, count: int):
+    """The plan of `born_weights` for `count` real 3x3 effects, given as
+    their float64 bytes: ``(pairs, terms, table)``.
+
+    A term is one distinct (i, j, E_ij) of some nonzero entry.  The terms of
+    one (i, j) are numbered as a run, and `pairs` lists each (i, j) with its
+    run's slice and its values as a column.  Column k of the (depth, count)
+    `table` lists the terms of effect k's nonzero entries in row-major
+    order, padded to the depth with `terms`, the number of a zero term.
+    """
+    import numpy as np
+
+    effects = np.frombuffer(data).reshape(count, 3, 3).tolist()
+    entries = [
+        [(i, j, e) for i, row in enumerate(effect) for j, e in enumerate(row) if e != 0.0]
+        for effect in effects
+    ]
+    runs = {}
+    for i, j, e in (entry for column in entries for entry in column):
+        runs.setdefault((i, j), {}).setdefault(e)
+    pairs, number = [], {}
+    for (i, j), values in runs.items():
+        run = slice(len(number), len(number) + len(values))
+        pairs.append((i, j, run, np.array(list(values))[:, np.newaxis]))
+        for e in values:
+            number[i, j, e] = len(number)
+    terms = len(number)
+    depth = max(map(len, entries))
+    table = [[number[t] for t in column] + [terms] * (depth - len(column)) for column in entries]
+    table = np.array(table, dtype=np.intp).reshape(count, depth).T
+    for a in (table, *(pair[3] for pair in pairs)):
+        a.flags.writeable = False  # every call shares them through the cache
+    return tuple(pairs), terms, table
+
+
 def born_weights(effects: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Born weights <v|E_k|v>, clipped at zero; printed effects may not sum to I.
 
     `v` is one state of shape (3,) or a stack of shape (n, 3); a stack gives
     (n, 9) weights, each row equal bit for bit to the call on that row.
 
-    With v = a + ib and real effects, the weight is the written sum over
-    (i, j) in row-major order of ``(a_i * E_ij) * a_j + (b_i * E_ij) * b_j``,
-    accumulated from +0 on real columns.  An (i, j) whose entry is zero in
-    every effect would add only a signed zero, so it is skipped; every
-    effect of the derived and the printed gates is diagonal.
+    With v = a + ib and real effects, the weight of effect E is the written
+    sum over its nonzero entries E_ij, in row-major order, of
+    ``(a_i * E_ij) * a_j + (b_i * E_ij) * b_j``, accumulated from +0.  A
+    zero entry would add only a signed zero, so it is skipped; every effect
+    of the derived and the printed gates is diagonal.  The sums fill an
+    outcome-major (9, n) block, one contiguous row per effect, and a term
+    (i, j, E_ij) that several effects share is computed once per call; the
+    weights are that block's transpose.  An effect with fewer entries than
+    another adds +0 in their place, which leaves a sum from +0 as it is.
     """
     import numpy as np
 
-    a, b = v.real[..., np.newaxis], v.imag[..., np.newaxis]
-    acc = np.zeros(v.shape[:-1] + effects.shape[:1])
-    for i, j in zip(*np.nonzero(effects.any(axis=0))):
-        e = effects[:, i, j]
-        term = a[..., i, :] * e
-        term *= a[..., j, :]
-        imag = b[..., i, :] * e
-        imag *= b[..., j, :]
+    effects = np.ascontiguousarray(effects, dtype=np.float64)
+    pairs, count, table = _born_terms(effects.tobytes(), len(effects))
+    # one state is a stack of one, so every array below has a trial axis
+    state = v.reshape((-1, 3)).T
+    a, b, n = state.real, state.imag, state.shape[1]
+    terms = np.zeros((count + 1, n))  # the last stays the zero term
+    for i, j, run, e in pairs:
+        term = terms[run]
+        np.multiply(a[i], e, out=term)
+        term *= a[j]
+        imag = b[i] * e
+        imag *= b[j]
         term += imag
-        acc += term
-    return np.clip(acc, 0.0, None, out=acc)
+    block = np.zeros((len(effects), n))
+    for column in table:
+        block += terms[column]
+    np.clip(block, 0.0, None, out=block)
+    return block.T.reshape(v.shape[:-1] + (len(effects),))
 
 
 def normalized(v: np.ndarray) -> np.ndarray:

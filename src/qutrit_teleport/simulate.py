@@ -27,12 +27,14 @@ classes, and the contract itself does not change.
 
 A batch runs as one columnar pass rather than trial by trial: it draws
 every input state and every uniform from the trials' own seeds, then
-applies the Born rule and the outcome search to the whole (n, ·) stack
-at once, and the overlap to the stack of trials whose outcome has a
-recovery; a fixed input takes the overlap once per outcome that
-occurred.  Each step computes exactly what `run_trial` computes for one
-row, so every row of a batch's columns equals the `run_trial` replay of
-its seed; that replay is a trial's record.
+applies the Born rule and the outcome search at once to an outcome-major
+(9, n) block, one contiguous row per outcome, and the overlap to the
+stack of trials whose outcome has a recovery; a fixed input takes the
+overlap once per outcome that occurred.  A trial's total weight is
+written out as numpy sums nine terms, pairwise from +0.  Each step
+computes exactly what `run_trial` computes for one row, so every row of
+a batch's columns equals the `run_trial` replay of its seed; that replay
+is a trial's record.
 
 A Haar-random input is ``Generator(PCG64(state_seed)).standard_normal(6)``
 read as three complex amplitudes and normalized.  A batch draws those
@@ -119,6 +121,7 @@ def run_trial(
 ) -> TrialRecord:
     """One protocol round.  Deterministic in (channel, input_state, seed)."""
     channel = _check_index("channel", channel)
+    seed = _check_non_negative("seed", seed)
     phi = analysis.as_state(input_state)
     gates, effects, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
 
@@ -149,7 +152,7 @@ def run_trial(
         classical_message=outcome,
         recovery_applied=recovery_applied,
         fidelity=fidelity,
-        seed=int(seed),
+        seed=seed,
         event_log=EVENT_LOG,
     )
 
@@ -244,15 +247,23 @@ def _generate_state(pool, n_words):
     return halves[0::2] | halves[1::2] << 32
 
 
+def _check_non_negative(name, value):
+    """`basis._check_index` with no upper bound, refusing negatives with
+    numpy's own seeding error."""
+    value = _check_index(name, value, None)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    return value
+
+
 def trial_seeds(master_seed: int, n: int) -> np.ndarray:
     """The per-trial seeds as a (2, n) uint64 block whose rows are the
     state_seeds and trial_seeds columns: column t holds the two words of
     ``SeedSequence(master_seed).spawn(n)[t].generate_state(2, np.uint64)``.
     Child t hashes the master's words, zero-padded to the pool size, and
     then t, so only that last step makes (4, n) blocks."""
-    master_seed = _check_index("master_seed", master_seed, None)
-    if master_seed < 0:
-        raise ValueError("expected non-negative integer")
+    master_seed = _check_non_negative("master_seed", master_seed)
+    n = _check_non_negative("n", n)
     if n >= _MAX_TRIALS:
         raise ValueError(f"at most {_MAX_TRIALS - 1} trials per batch")
     words = []
@@ -286,27 +297,30 @@ def _pcg_step(state, inc):
 
 
 def _pcg64_seeded(seeds):
-    """``PCG64(seed).state``'s (state, inc) for a uint64 seed column, each a
-    (high, low) pair of uint64 columns."""
+    """``PCG64(seed).state``'s (state, inc) for a uint64 seed block of any
+    shape, each a (high, low) pair of uint64 blocks of that shape."""
     # PCG64 hashes the seed with SeedSequence(seed), unpadded; a seed below
     # 2**32 is one word, which hashes as the pool's zero fill would
-    lo, hi = (seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)
-    s_hi, s_lo, i_hi, i_lo = _generate_state(_seed_pool([lo, hi]), 4)
+    words = [(seeds & _MASK32).ravel(), (seeds >> 32).ravel()]
+    pool = _seed_pool([word.astype(np.uint32) for word in words])
+    s_hi, s_lo, i_hi, i_lo = _generate_state(pool, 4).reshape((4,) + seeds.shape)
     # pcg_setseq_128_srandom_r
     inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
     return _pcg_step(_add128(inc, (s_hi, s_lo)), inc), inc
 
 
 def _pcg64_states(state, inc):
-    """Yield ``PCG64(seed).state`` for each row of `_pcg64_seeded(seeds)`."""
+    """Yield ``PCG64(seed).state`` for each row of `_pcg64_seeded(seeds)`.
+
+    Every row yields the same dict, updated in place, so a caller reads (or
+    assigns) each state before it takes the next."""
     (s_hi, s_lo), (i_hi, i_lo) = state, inc
+    words = {"state": 0, "inc": 0}
+    seeded = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
     for sh, sl, ih, il in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        words["state"] = sh << 64 | sl
+        words["inc"] = ih << 64 | il
+        yield seeded
 
 
 def _raw_words(state, inc, count):
@@ -385,11 +399,14 @@ def run_batch_columns(
     and its seed).
 
     No step loops over trials in Python, except the redraw of the Haar
-    rows that leave the ziggurat's fast path (`_haar_inputs`): the seeding,
-    the draws, the Born weights, the outcome search and the overlap each
-    run once over the whole stack.  A fixed input takes the overlap once
-    per outcome that occurred.  The printed floats therefore rest on the
-    same numpy ziggurat tables, BLAS dot and gemv kernels and libm
+    rows that leave the ziggurat's fast path (`_haar_inputs`): the seeding
+    (one pass over both seed rows in haar mode), the draws, the Born
+    weights, the outcome search and the overlap each run once over the
+    whole batch.  The Born weights, their nine-term total, the cumulative
+    sum and the outcome count work on the outcome-major (9, n) block, one
+    contiguous row per outcome.  A fixed input takes the overlap once per
+    outcome that occurred.  The printed floats therefore rest on the same
+    numpy ziggurat tables, BLAS dot and gemv kernels and libm
     ``hypot``/``pow`` as `run_trial` on one row.
     """
     trials = _check_index("trials", trials, None)
@@ -401,25 +418,31 @@ def run_batch_columns(
     channel = _check_index("channel", channel)
     gates, effects, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
 
-    state_seeds, seed_column = trial_seeds(master_seed, trials)
+    seeds = trial_seeds(master_seed, trials)
+    seed_column = seeds[1]
     if haar:
-        phis = _haar_inputs(*_pcg64_seeded(state_seeds))
+        # both seed rows in one seeding pass; row 0 draws the inputs
+        (s_hi, s_lo), (i_hi, i_lo) = _pcg64_seeded(seeds)
+        phis = _haar_inputs((s_hi[0], s_lo[0]), (i_hi[0], i_lo[0]))
+        trial_state = (s_hi[1], s_lo[1]), (i_hi[1], i_lo[1])
         rows = np.arange(trials)
     else:
+        trial_state = _pcg64_seeded(seed_column)
         phis = fixed_phi[np.newaxis]
         rows = np.zeros(trials, dtype=np.intp)
     # Generator(PCG64(seed)).random() without building either object
-    u = (_raw_words(*_pcg64_seeded(seed_column), 1)[0] >> 11) * _DOUBLE_UNIT
+    u = (_raw_words(*trial_state, 1)[0] >> 11) * _DOUBLE_UNIT
 
-    weights = analysis.born_weights(effects, phis)
-    probs = weights / weights.sum(axis=1, keepdims=True)
-    # searchsorted(cumsum, u, side="right") row by row, capped at 8
-    outcomes = np.minimum((np.cumsum(probs, axis=1) <= u[:, np.newaxis]).sum(axis=1), 8)
+    # the outcome-major block: row k holds outcome k's weight of every input
+    weights = analysis.born_weights(effects, phis).T
+    probs = weights / _total(weights)
+    # searchsorted(cumsum, u, side="right") trial by trial, capped at 8
+    outcomes = np.minimum(np.count_nonzero(np.cumsum(probs, axis=0) <= u, axis=0), 8)
     if not probs.all():
         # rounding in the cumulative sum must never select a zero-mass bin:
         # step down to the last outcome at or below it with mass (0 if none)
-        with_mass = np.where(probs != 0.0, np.arange(9), 0)
-        outcomes = np.maximum.accumulate(with_mass, axis=1)[rows, outcomes]
+        with_mass = np.where(probs != 0.0, np.arange(9)[:, np.newaxis], 0)
+        outcomes = np.maximum.accumulate(with_mass, axis=0)[outcomes, rows]
 
     # the trials whose outcome has a recovery; a singular outcome's zero
     # recovery is never selected
@@ -438,10 +461,23 @@ def run_batch_columns(
             phis[np.zeros(len(occurred), dtype=np.intp)], gates[occurred], recoveries[occurred]
         )
         fidelities = per_outcome[k]
-        drawn_from = weights[0]  # the one fixed input's Born weights
+        drawn_from = weights[:, 0]  # the one fixed input's Born weights
     summary = summarize(channel, outcomes, fidelities, drawn_from / drawn_from.sum())
-    columns = (phis, rows, seed_column, outcomes, weights[rows, outcomes], applied, fidelities)
+    columns = (phis, rows, seed_column, outcomes, weights[outcomes, rows], applied, fidelities)
     return summary, columns
+
+
+def _total(weights):
+    """Each trial's total over a (9, n) block, bit for bit the ``sum()`` of
+    its nine weights: numpy's `add.reduce` adds nine contiguous terms
+    pairwise, ``((w0+w1)+(w2+w3))+((w4+w5)+(w6+w7))`` then ``+ w8``, to +0.
+    (The block's own ``sum(axis=0)`` would add its rows one by one.)"""
+    pairs = weights[0:8:2] + weights[1:8:2]
+    total = pairs[0] + pairs[1]
+    total += pairs[2] + pairs[3]
+    total += weights[8]
+    total += 0.0
+    return total
 
 
 def summarize(

@@ -426,6 +426,30 @@ def test_born_weights_follow_the_written_order_on_dense_effects(symmetric):
         )
 
 
+def test_born_weights_share_repeated_terms_and_keep_an_empty_outcome():
+    # sparse effects whose outcomes repeat one (i, j, value) entry, so the
+    # term computed once serves several rows, and whose outcome 4 is all
+    # zero, so its row stays at +0
+    rng = np.random.default_rng(29)
+    effects = np.zeros((9, 3, 3))
+    effects[:, 1, 1] = 0.25
+    effects[::2, 0, 2] = -1.5
+    effects[1::3, 2, 0] = rng.standard_normal(3)
+    effects[[0, 3, 8], 2, 2] = 2.0
+    effects[7] = rng.standard_normal((3, 3))
+    effects[4] = 0.0
+    stack = rng.standard_normal((3000, 3)) + 1j * rng.standard_normal((3000, 3))
+    stack[:3] = np.eye(3)
+    weights = analysis.born_weights(effects, stack)
+    assert weights.shape == (len(stack), 9)
+    assert np.array_equal(_bits(weights), _bits(born_weights_written(effects, stack)))
+    assert np.array_equal(_bits(weights[:, 4]), np.zeros(len(stack), dtype=np.uint64))
+    for v in stack[:50]:
+        assert np.array_equal(
+            _bits(analysis.born_weights(effects, v)), _bits(born_weights_written(effects, v))
+        )
+
+
 @pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
 def test_born_weights_equal_einsum_on_the_package_effects(use_paper_gates):
     # every effect is diagonal, so the written order skips the off-diagonal

@@ -221,6 +221,14 @@ _VALID_ARGUMENTS = {
         (run_trial, dict(channel=9), ValueError, "channel index 9 out of range 0..8"),
         (trial_seeds, dict(master_seed=False),
          TypeError, "master_seed must be an integer, not bool"),
+        (trial_seeds, dict(n=True), TypeError, "n must be an integer, not bool"),
+        (trial_seeds, dict(n=2.5), TypeError, "n must be an integer, not float"),
+        (trial_seeds, dict(n="3"), TypeError, "n must be an integer, not str"),
+        (trial_seeds, dict(n=-1), ValueError, "expected non-negative integer"),
+        (run_trial, dict(seed=True), TypeError, "seed must be an integer, not bool"),
+        (run_trial, dict(seed=2.5), TypeError, "seed must be an integer, not float"),
+        (run_trial, dict(seed="3"), TypeError, "seed must be an integer, not str"),
+        (run_trial, dict(seed=-1), ValueError, "expected non-negative integer"),
     ],
 )
 def test_library_arguments_are_checked_by_name(function, changed, error, message):
@@ -253,6 +261,28 @@ def test_batch_records_equal_replay_of_their_seeds(channel, mode, use_paper_gate
     seeds = [int(child.generate_state(2, np.uint64)[1]) for child in spawned]
     assert [r.seed for r in records] == seeds
     assert run_batch(channel, 150, 40 + channel, **kwargs) == summary
+
+
+def test_nine_term_total_equals_numpys_sum():
+    # the batch sums each trial's nine weights over the outcome-major block
+    # in numpy's own order; rows of any magnitude and sign, with zeros of
+    # either sign and rows of zeros alone, where only the +0 start shows
+    rng = np.random.default_rng(31)
+    rows = 10.0 ** rng.uniform(-300, 300, (4000, 9))
+    rows[:1000] *= rng.choice([1.0, -1.0], (1000, 9))
+    rows[2000:3000] = rng.random((1000, 9))
+    rows[::3, ::4] = 0.0
+    rows[1::5, 1::3] = -0.0
+    rows[3000:3010] = 0.0
+    rows[3010:3020] = -0.0
+    rows[3020:3030, ::2] = -0.0
+    total = simulate._total(np.ascontiguousarray(rows.T))
+    assert np.array_equal(_bits(total), _bits(rows.sum(axis=1)))
+    assert np.array_equal(_bits(total), _bits(np.array([row.sum() for row in rows])))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
 def test_uniform_past_the_cumulative_sum_steps_down_to_an_outcome_with_mass(monkeypatch):
@@ -398,10 +428,27 @@ def test_stacked_overlap_and_norm_equal_the_per_state_oracle(channel, use_paper_
 
 
 def test_haar_generator_states_equal_pcg64_state():
+    # one dict is yielded for every row, updated in place, so each state is
+    # compared as it comes rather than collected
     state_seeds, _ = trial_seeds(2024, 400)
     seeds = np.concatenate([np.array(_EDGE_SEEDS, dtype=np.uint64), state_seeds])
-    expected = [np.random.PCG64(s).state for s in seeds.tolist()]
-    assert list(simulate._pcg64_states(*simulate._pcg64_seeded(seeds))) == expected
+    compared = 0
+    for seeded, s in zip(simulate._pcg64_states(*simulate._pcg64_seeded(seeds)), seeds.tolist()):
+        assert seeded == np.random.PCG64(s).state
+        compared += 1
+    assert compared == len(seeds)
+
+
+def test_seeding_a_seed_block_equals_seeding_each_row():
+    # a Haar batch seeds its (2, n) block of state and trial seeds in one pass
+    block = trial_seeds(77, 300)
+    block[:, :len(_EDGE_SEEDS)] = np.array(_EDGE_SEEDS, dtype=np.uint64)
+    state, inc = simulate._pcg64_seeded(block)
+    for r in range(2):
+        row_state, row_inc = simulate._pcg64_seeded(block[r])
+        for got, expected in zip((*state, *inc), (*row_state, *row_inc)):
+            assert got.shape == block.shape
+            assert np.array_equal(got[r], expected)
 
 
 def test_negative_master_seed_is_rejected():
