@@ -18,12 +18,12 @@ child of ``SeedSequence(master_seed)`` per trial; each child supplies two
 64-bit words, the first seeding the input-state draw (haar mode), the
 second seeding the trial itself.  `run_trial` replays any stored trial
 seed bit for bit.  A batch computes numpy's `SeedSequence`/`PCG64`
-seeding arithmetic over columns of trials instead of building those
-objects per trial: every SeedSequence hash runs over a (k, n) uint32
-block of k words of n trials at once, and a Haar row that leaves the
-ziggurat's fast path takes its generator state from the seeding pass
-that drew it.  The test suite checks every step against numpy's own
-classes, and the contract itself does not change.
+seeding arithmetic instead of building those objects per trial: the
+master seed's pool once on Python ints, then the spawn index, PCG64's
+seeding and its steps in place over column blocks of all trials.  A Haar
+row that leaves the ziggurat's fast path takes its generator state from
+the seeding pass that drew it.  The test suite checks every step against
+numpy's own classes, and the contract itself does not change.
 
 A batch runs as one columnar pass rather than trial by trial: it draws
 every input state and every uniform from the trials' own seeds, then
@@ -162,89 +162,103 @@ def run_trial(
 # SeedSequence and PCG64 seeding are fixed algorithms (NumPy NEP 19;
 # O'Neill, "PCG", HMC-CS-2014-0905), so a batch computes every trial's
 # seeds, uniform and generator state over integer columns instead of
-# building numpy objects per trial.  Every step runs in lanes: a (k, n)
-# uint32 block holds k words of n trials, and one numpy op hashes or mixes
-# the whole block; a word every trial shares, such as one of the master
-# seed's, is a Python int and stands for a whole row.  The hash constants
-# do not depend on the data, so each block takes them from a cached (k, 1)
-# column, and a uint32 block wraps by itself.  The test suite checks each
-# step against numpy's own classes.
+# building numpy objects per trial.  The master seed's pool, shared by every
+# trial, is hashed once on Python ints; the spawn index and the PCG64
+# seeding run in lanes, each numpy op updating a block in place: k words of
+# n trials as a (k, n) uint32 block, and 128-bit states as (high, low) uint64
+# blocks.  Hash constants come from cached (k, 1) columns.  The test suite
+# checks each step against numpy's own classes.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# the pool lanes each source lane cross-mixes into
-_CROSS = tuple([dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE))
-# PCG's default 128-bit multiplier as (high, low) 64-bit words
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# the pool lanes each source lane cross-mixes into, as row slices where contiguous
+_CROSS = (slice(1, 4), [0, 2, 3], [0, 1, 3], slice(0, 3))
+# PCG's default 128-bit multiplier as (high, low) 64-bit words, and as uint64
+# constants beside the low word's 32-bit limbs
 _PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
+_M_HI, _M_LO, _M_LO1, _M_LO0 = map(np.uint64, (*_PCG_MULT, *divmod(_PCG_MULT[1], 2**32)))
 # a spawn index of 2**32 or more takes two entropy words
 _MAX_TRIALS = 2**32
+
+
+def _master_pool(master_seed):
+    """``SeedSequence(master_seed)``'s pool before a spawn index mixes in, as
+    four Python ints, and the hash constant after it: the scalar form of the
+    lane hash and mix below, on words zero-padded as a spawned child's are."""
+    words = [master_seed >> s & _MASK32 for s in range(0, master_seed.bit_length() or 1, 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    hc = _INIT_A
+
+    def hashmix(value):
+        nonlocal hc
+        hc, value = hc * _MULT_A & _MASK32, value ^ hc
+        value = value * hc & _MASK32
+        return value ^ value >> 16
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src, word in enumerate(words):
+        source = pool[src] if src < _POOL_SIZE else word
+        for dst in (dst for dst in range(_POOL_SIZE) if dst != src):
+            mixed = pool[dst] * _MIX_L - hashmix(source) * _MIX_R & _MASK32
+            pool[dst] = mixed ^ mixed >> 16
+    return pool, hc
 
 
 @lru_cache(maxsize=None)
 def _lane_constants(hc, mult, k):
     """The xor and multiply constants of k successive hashes from `hc`, as
     uint32 (k, 1) columns, and the constant after them."""
-    xors, mults = [], []
+    constants = [hc]
     for _ in range(k):
-        xors.append(hc)
-        hc = hc * mult & _MASK32
-        mults.append(hc)
-    columns = [np.array(c, dtype=np.uint32)[:, np.newaxis] for c in (xors, mults)]
-    for column in columns:
-        column.flags.writeable = False  # every batch shares them through the cache
-    return (*columns, hc)
+        constants.append(constants[-1] * mult & _MASK32)
+    columns = np.array([constants[:-1], constants[1:]], dtype=np.uint32)[..., np.newaxis]
+    columns.flags.writeable = False  # every batch shares them through the cache
+    return (*columns, constants[-1])
 
 
-def _hash_lanes(block, k, hc, mult=_MULT_A):
-    """One SeedSequence hash over k lanes: row i of the uint32 (k, n) `block`
-    is hashed with the i-th of the k constants from `hc`; a single uint32
-    row or a Python int stands for k equal rows.  Returns the hashed block
-    and the next constant."""
-    xors, mults, hc = _lane_constants(hc, mult, k)
-    h = block ^ xors
-    h *= mults
-    h ^= h >> 16
-    return h, hc
+def _hash_lanes(source, hc, out, scratch, mult=_MULT_A):
+    """One SeedSequence hash into the k rows of the uint32 block `out`: row i
+    hashes `source` (`out`, or one row for all k) with the i-th of k constants
+    from `hc`, shifting through `scratch`.  Returns the constant after them."""
+    xors, mults, hc = _lane_constants(hc, mult, len(out))
+    np.bitwise_xor(source, xors, out=out)
+    np.multiply(out, mults, out=out)
+    np.bitwise_xor(out, np.right_shift(out, 16, out=scratch[:len(out)]), out=out)
+    return hc
 
 
-def _mix_lanes(x, y):
-    r = x * _MIX_L - y * _MIX_R
-    r ^= r >> 16
-    return r
+def _mix_lanes(x, y, scratch):
+    """SeedSequence's mix(x, y) into the uint32 block `y`, in place, with a
+    scratch block of its shape; `x` is such a block or a (k, 1) column."""
+    np.multiply(y, _MIX_R, out=y)
+    np.subtract(np.multiply(x, _MIX_L, out=scratch), y, out=y)
+    np.bitwise_xor(y, np.right_shift(y, 16, out=scratch), out=y)
 
 
 def _seed_pool(words):
-    """SeedSequence's entropy pool (pool size 4) from its entropy words, each
-    a 32-bit Python int or a uint32 column, as a (4, n) uint32 block; n is
-    1 while no column has mixed in."""
-    words = list(words) + [0] * (_POOL_SIZE - len(words))
-    head = words[:_POOL_SIZE]
-    n = max((len(word) for word in head if not isinstance(word, int)), default=1)
-    block = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
-    for lane, word in enumerate(head):
-        block[lane] = word
-    pool, hc = _hash_lanes(block, _POOL_SIZE, _INIT_A)
-    # each source lane's three cross-mixes as one (3, n) block
+    """SeedSequence's entropy pool from at most four entropy columns, zero-filled,
+    as a (4, n) uint32 block; a uint64 column gives its low 32 bits."""
+    pool = np.zeros((_POOL_SIZE, len(words[0])), dtype=np.uint32)
+    pool[:len(words)] = words
+    scratch = np.empty((2 * _POOL_SIZE - 1, pool.shape[1]), dtype=np.uint32)
+    h = scratch[_POOL_SIZE:]  # one lane's three cross-mixes, after the shifts' four rows
+    hc = _hash_lanes(pool, _INIT_A, pool, scratch)
     for src, dsts in enumerate(_CROSS):
-        h, hc = _hash_lanes(pool[src], len(dsts), hc)
-        pool[dsts] = _mix_lanes(pool[dsts], h)
-    # every word past the pool size mixes into all four lanes
-    for word in words[_POOL_SIZE:]:
-        h, hc = _hash_lanes(word, _POOL_SIZE, hc)
-        pool = _mix_lanes(pool, h)
+        hc = _hash_lanes(pool[src], hc, h, scratch)
+        _mix_lanes(pool[dsts], h, scratch[:_POOL_SIZE - 1])
+        pool[dsts] = h
     return pool
 
 
 def _generate_state(pool, n_words):
     """``generate_state(n_words, np.uint64)`` as a (n_words, n) uint64 block,
-    from a pool of uint32 lanes; all 2 * n_words halves hash as one block."""
-    lanes = np.arange(2 * n_words) % _POOL_SIZE
-    halves, _ = _hash_lanes(pool[lanes], len(lanes), _INIT_B, _MULT_B)
-    halves = halves.astype(np.uint64)
-    return halves[0::2] | halves[1::2] << 32
+    from a pool of uint32 lanes: all 2 * n_words halves hash as one block."""
+    halves = pool[np.arange(2 * n_words) % _POOL_SIZE]
+    _hash_lanes(halves, _INIT_B, halves, np.empty_like(halves), _MULT_B)
+    words = halves[1::2].astype(np.uint64) << 32
+    return np.bitwise_or(words, halves[0::2], out=words)
 
 
 def _check_non_negative(name, value):
@@ -260,40 +274,39 @@ def trial_seeds(master_seed: int, n: int) -> np.ndarray:
     """The per-trial seeds as a (2, n) uint64 block whose rows are the
     state_seeds and trial_seeds columns: column t holds the two words of
     ``SeedSequence(master_seed).spawn(n)[t].generate_state(2, np.uint64)``.
-    Child t hashes the master's words, zero-padded to the pool size, and
-    then t, so only that last step makes (4, n) blocks."""
+    Only the spawn index runs in lanes: one four-lane hash, mixed into the
+    master's pool as a (4, 1) column."""
     master_seed = _check_non_negative("master_seed", master_seed)
     n = _check_non_negative("n", n)
     if n >= _MAX_TRIALS:
         raise ValueError(f"at most {_MAX_TRIALS - 1} trials per batch")
-    words = []
-    while True:
-        words.append(master_seed & _MASK32)
-        master_seed >>= 32
-        if not master_seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    return _generate_state(_seed_pool(words + [np.arange(n, dtype=np.uint32)]), 2)
+    pool, hc = _master_pool(master_seed)
+    h, scratch = np.empty((2, _POOL_SIZE, n), dtype=np.uint32)
+    _hash_lanes(np.arange(n, dtype=np.uint32), hc, h, scratch)
+    _mix_lanes(np.array(pool, dtype=np.uint32)[:, np.newaxis], h, scratch)
+    return _generate_state(h, 2)
 
 
-def _mulhi64(a, b):
-    """High word of the 128-bit product of 64-bit words, from 32-bit limbs."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _add128(a, b):
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < b[1]), lo
-
-
-def _pcg_step(state, inc):
-    """state * multiplier + inc mod 2**128, on (high, low) pairs."""
-    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
-    product = (_mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo, lo * m_lo)
-    return _add128(product, inc)
+def _pcg_step(hi, lo, inc):
+    """One PCG64 step, state * multiplier + inc mod 2**128, in place on the
+    (high, low) uint64 blocks `hi` and `lo`.  The high word of lo * b, b the
+    multiplier's low word, is a1 b1 + (x >> 32) + (y >> 32) in 32-bit limbs:
+    x = (a0 b0 >> 32) + a0 b1 and y = (x & mask) + a1 b0 stay below 2**64."""
+    t, u, w = np.empty((3,) + hi.shape, dtype=np.uint64)
+    np.multiply(hi, _M_LO, out=hi)
+    np.add(hi, np.multiply(lo, _M_HI, out=t), out=hi)
+    np.bitwise_and(lo, _MASK32, out=t)
+    np.right_shift(lo, 32, out=u)
+    np.add(hi, np.multiply(u, _M_LO1, out=w), out=hi)
+    np.multiply(u, _M_LO0, out=u)
+    np.right_shift(np.multiply(t, _M_LO0, out=w), 32, out=w)
+    np.add(w, np.multiply(t, _M_LO1, out=t), out=w)
+    np.add(hi, np.right_shift(w, 32, out=t), out=hi)
+    np.add(np.bitwise_and(w, _MASK32, out=w), u, out=w)
+    np.add(hi, np.right_shift(w, 32, out=w), out=hi)
+    np.add(np.multiply(lo, _M_LO, out=lo), inc[1], out=lo)
+    np.add(hi, lo < inc[1], out=hi)  # the carry
+    np.add(hi, inc[0], out=hi)
 
 
 def _pcg64_seeded(seeds):
@@ -301,12 +314,14 @@ def _pcg64_seeded(seeds):
     shape, each a (high, low) pair of uint64 blocks of that shape."""
     # PCG64 hashes the seed with SeedSequence(seed), unpadded; a seed below
     # 2**32 is one word, which hashes as the pool's zero fill would
-    words = [(seeds & _MASK32).ravel(), (seeds >> 32).ravel()]
-    pool = _seed_pool([word.astype(np.uint32) for word in words])
+    pool = _seed_pool([seeds.ravel(), seeds.ravel() >> 32])
     s_hi, s_lo, i_hi, i_lo = _generate_state(pool, 4).reshape((4,) + seeds.shape)
-    # pcg_setseq_128_srandom_r
+    # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1, then initstate + inc steps
     inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
-    return _pcg_step(_add128(inc, (s_hi, s_lo)), inc), inc
+    s_lo = s_lo + inc[1]
+    s_hi = s_hi + inc[0] + (s_lo < inc[1])
+    _pcg_step(s_hi, s_lo, inc)
+    return (s_hi, s_lo), inc
 
 
 def _pcg64_states(state, inc):
@@ -324,15 +339,15 @@ def _pcg64_states(state, inc):
 
 
 def _raw_words(state, inc, count):
-    """The first `count` ``random_raw()`` words: each is one step, then the
-    XSL-RR output."""
-    words = []
-    for _ in range(count):
-        state = _pcg_step(state, inc)
-        hi, lo = state
-        rot = hi >> 58
-        x = hi ^ lo
-        words.append(x >> rot | x << (64 - rot & 63))
+    """The first `count` ``random_raw()`` words as a (count, n) uint64 block:
+    each is one step of a copy of `state`, then the XSL-RR output, hi ^ lo
+    rotated right by the top 6 bits of hi."""
+    hi, lo = np.array(state)
+    words = np.empty((count,) + hi.shape, dtype=np.uint64)
+    for word in words:
+        _pcg_step(hi, lo, inc)
+        x, rot = hi ^ lo, hi >> 58
+        np.bitwise_or(x >> rot, x << (64 - rot & 63), out=word)
     return words
 
 

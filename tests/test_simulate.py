@@ -1,7 +1,11 @@
 """Protocol simulation: determinism, causality, Born statistics."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,7 +317,9 @@ _EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
 @pytest.mark.parametrize(
-    "master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 12345, 3**100]
+    "master",
+    [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96, 2**128 - 1, 2**128, 2**128 + 12345,
+     3**100, 2**300 + 1],
 )
 def test_trial_seeds_equal_seed_sequence_spawn(master):
     # masters of more than four words are not padded: their extra words mix
@@ -325,10 +331,29 @@ def test_trial_seeds_equal_seed_sequence_spawn(master):
     assert _seed_pairs(master, 300) == expected
 
 
+@pytest.mark.parametrize(
+    "master", [0, 2**32 + 7, 2**128 - 1, 2**128, 2**300 + 1],
+    ids=["1-word", "2-words", "4-words", "5-words", "10-words"],
+)
+def test_master_pool_on_integers_equals_seed_sequence_pool(master):
+    # the pool of an unspawned SeedSequence is a spawned child's before its
+    # spawn index mixes in; the constant after it has taken 16 hashes, and 4
+    # more for each master word past the fourth
+    pool, hc = simulate._master_pool(master)
+    assert pool == np.random.SeedSequence(master).pool.tolist()
+    hashes = 16 + 4 * max(0, (max(master.bit_length(), 1) + 31) // 32 - 4)
+    assert hc == simulate._INIT_A * pow(simulate._MULT_A, hashes, 2**32) % 2**32
+
+
 def test_spawn_hash_over_the_whole_32_bit_index_range():
+    # trial_seeds' split: the master's pool on integers, then the spawn
+    # index hashed over four lanes and mixed into it, on chosen indices
     indices = [0, 1, 255, 256, 65_536, 2**31, 2**32 - 2, 2**32 - 1]
-    pool = simulate._seed_pool([7, 0, 0, 0, np.array(indices, dtype=np.uint32)])
-    state_seeds, seeds = simulate._generate_state(pool, 2)
+    pool, hc = simulate._master_pool(7)
+    h, scratch = np.empty((2, 4, len(indices)), dtype=np.uint32)
+    simulate._hash_lanes(np.array(indices, dtype=np.uint32), hc, h, scratch)
+    simulate._mix_lanes(np.array(pool, dtype=np.uint32)[:, np.newaxis], h, scratch)
+    state_seeds, seeds = simulate._generate_state(h, 2)
     for t, index in enumerate(indices):
         child = np.random.SeedSequence(7, spawn_key=(index,))
         assert child.generate_state(2, np.uint64).tolist() == [
@@ -449,6 +474,22 @@ def test_seeding_a_seed_block_equals_seeding_each_row():
         for got, expected in zip((*state, *inc), (*row_state, *row_inc)):
             assert got.shape == block.shape
             assert np.array_equal(got[r], expected)
+
+
+def test_a_fixed_input_batch_does_not_load_numpy_random():
+    # the master's pool is computed on integers rather than taken from
+    # numpy's SeedSequence, whose module a cold fixed-input run never loads
+    script = (
+        "import sys; from qutrit_teleport import simulate; "
+        "simulate.run_batch(8, 50, 2**70 + 11, input_state=(0.6, 0.8j, 0)); "
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(simulate.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_negative_master_seed_is_rejected():
