@@ -188,8 +188,8 @@ def _master_pool(master_seed):
     """``SeedSequence(master_seed)``'s pool before a spawn index mixes in, as
     four Python ints, and the hash constant after it: the scalar form of the
     lane hash and mix below, on words zero-padded as a spawned child's are."""
-    words = [master_seed >> s & _MASK32 for s in range(0, master_seed.bit_length() or 1, 32)]
-    words += [0] * (_POOL_SIZE - len(words))
+    bits = max(master_seed.bit_length(), 32 * _POOL_SIZE)
+    words = [master_seed >> s & _MASK32 for s in range(0, bits, 32)]
     hc = _INIT_A
 
     def hashmix(value):
@@ -237,11 +237,11 @@ def _mix_lanes(x, y, scratch):
     np.bitwise_xor(y, np.right_shift(y, 16, out=scratch), out=y)
 
 
-def _seed_pool(words):
-    """SeedSequence's entropy pool from at most four entropy columns, zero-filled,
-    as a (4, n) uint32 block; a uint64 column gives its low 32 bits."""
-    pool = np.zeros((_POOL_SIZE, len(words[0])), dtype=np.uint32)
-    pool[:len(words)] = words
+def _seed_pool(low, high):
+    """SeedSequence's entropy pool from PCG64's two seed words, the `low` and
+    `high` uint64 columns (each gives its low 32 bits), as a (4, n) uint32 block."""
+    pool = np.zeros((_POOL_SIZE, len(low)), dtype=np.uint32)
+    pool[0], pool[1] = low, high
     scratch = np.empty((2 * _POOL_SIZE - 1, pool.shape[1]), dtype=np.uint32)
     h = scratch[_POOL_SIZE:]  # one lane's three cross-mixes, after the shifts' four rows
     hc = _hash_lanes(pool, _INIT_A, pool, scratch)
@@ -287,12 +287,12 @@ def trial_seeds(master_seed: int, n: int) -> np.ndarray:
     return _generate_state(h, 2)
 
 
-def _pcg_step(hi, lo, inc):
+def _pcg_step(hi, lo, inc, scratch):
     """One PCG64 step, state * multiplier + inc mod 2**128, in place on the
-    (high, low) uint64 blocks `hi` and `lo`.  The high word of lo * b, b the
-    multiplier's low word, is a1 b1 + (x >> 32) + (y >> 32) in 32-bit limbs:
-    x = (a0 b0 >> 32) + a0 b1 and y = (x & mask) + a1 b0 stay below 2**64."""
-    t, u, w = np.empty((3,) + hi.shape, dtype=np.uint64)
+    (high, low) uint64 blocks `hi` and `lo`, through three `scratch` blocks.
+    lo * b's high word, b the multiplier's low, is a1 b1 + (x >> 32) + (y >> 32)
+    in 32-bit limbs: x = (a0 b0 >> 32) + a0 b1 and y = (x & mask) + a1 b0 < 2**64."""
+    t, u, w = scratch
     np.multiply(hi, _M_LO, out=hi)
     np.add(hi, np.multiply(lo, _M_HI, out=t), out=hi)
     np.bitwise_and(lo, _MASK32, out=t)
@@ -314,13 +314,13 @@ def _pcg64_seeded(seeds):
     shape, each a (high, low) pair of uint64 blocks of that shape."""
     # PCG64 hashes the seed with SeedSequence(seed), unpadded; a seed below
     # 2**32 is one word, which hashes as the pool's zero fill would
-    pool = _seed_pool([seeds.ravel(), seeds.ravel() >> 32])
+    pool = _seed_pool(seeds.ravel(), seeds.ravel() >> 32)
     s_hi, s_lo, i_hi, i_lo = _generate_state(pool, 4).reshape((4,) + seeds.shape)
     # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1, then initstate + inc steps
     inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
     s_lo = s_lo + inc[1]
     s_hi = s_hi + inc[0] + (s_lo < inc[1])
-    _pcg_step(s_hi, s_lo, inc)
+    _pcg_step(s_hi, s_lo, inc, np.empty((3,) + seeds.shape, dtype=np.uint64))
     return (s_hi, s_lo), inc
 
 
@@ -341,11 +341,11 @@ def _pcg64_states(state, inc):
 def _raw_words(state, inc, count):
     """The first `count` ``random_raw()`` words as a (count, n) uint64 block:
     each is one step of a copy of `state`, then the XSL-RR output, hi ^ lo
-    rotated right by the top 6 bits of hi."""
+    rotated right by the top 6 bits of hi; every step shares one scratch block."""
     hi, lo = np.array(state)
-    words = np.empty((count,) + hi.shape, dtype=np.uint64)
+    words, scratch = (np.empty((k,) + hi.shape, dtype=np.uint64) for k in (count, 3))
     for word in words:
-        _pcg_step(hi, lo, inc)
+        _pcg_step(hi, lo, inc, scratch)
         x, rot = hi ^ lo, hi >> 58
         np.bitwise_or(x >> rot, x << (64 - rot & 63), out=word)
     return words
