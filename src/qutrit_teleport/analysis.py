@@ -10,20 +10,19 @@ destroyed; no deterministic recovery).  `completeness(i)` is the bare sum
 over k of G_ik^T G_ik, which callers compare with the identity.
 
 The numeric layer is the package's one floating-point path, shared with
-`simulate`: `numeric_channel` caches a channel's gates (oracle or printed),
-effects G^T G and recoveries as read-only (9, 3, 3) float stacks, with
-the recoveries zero at singular outcomes and a bool mask `invertible`
-beside them; `born_weights` and `overlap` are
-the Born rule and the post-measurement fidelity, and `normalized` divides
-states by their norm.  Each takes one state or a stack of states and
-gives every row the bits it gives that row alone.  `born_weights` sums
-each outcome's nonzero effect entries on one contiguous row of an
-outcome-major (9, n) block and returns its (n, 9) transpose.  The layer
-imports numpy when first called, so the exact layer runs without it.
+`simulate`.  `numeric_channel` checks once that a channel's gates (oracle
+or printed) are monomial and caches, read-only, the gates, their effects
+G^T G as the (9, 3) block of diagonals, and the recoveries (zero at
+singular outcomes) beside a bool mask `invertible`.  `born_weights`,
+`overlap` and `normalized` are the Born rule, the post-measurement
+fidelity and the norm; each takes one state or a stack of states and
+gives every row the bits it gives that row alone.  The layer imports
+numpy when first called, so the exact layer runs without it.
 
-Indices go through `basis._check_index`.  The caches are typed, so a bool
-never reads an int's entry; callers pass the checked int on, so a numpy
-integer shares its channel's one entry.
+Indices go through `basis._check_index` and flags through its
+`_check_bool`.  The caches are typed, so a bool never reads an int's
+entry; callers pass the checked int on, so a numpy integer shares its
+channel's one entry.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import engine
-from .basis import _check_index
+from .basis import _check_bool, _check_index
 from .exact import ExtScalar, _signed_terms
 from .linalg import Operator3, _gram
 
@@ -180,8 +179,8 @@ def recovery(g: Operator3) -> Optional[Operator3]:
 class NumericChannel(NamedTuple):
     """Float view of one channel's nine gates, indexed by outcome."""
 
-    gates: np.ndarray  # (9, 3, 3) gate matrices G_k
-    effects: np.ndarray  # (9, 3, 3) Born-rule effects G_k^T G_k
+    gates: np.ndarray  # (9, 3, 3) monomial gate matrices G_k
+    effects: np.ndarray  # (9, 3) diagonals of the Born-rule effects G_k^T G_k
     recoveries: np.ndarray  # (9, 3, 3) recovery matrices, zero where G_k is singular
     invertible: np.ndarray  # (9,) bool: G_k has a recovery
 
@@ -198,20 +197,27 @@ def gate_matrix(g: Operator3) -> np.ndarray:
 def numeric_channel(i: int, use_paper_gates: bool, /) -> NumericChannel:
     """Channel i's oracle gates in floats, or its printed gates.
 
-    The arguments are positional-only, so every call of one channel hits
-    one cache entry and every caller shares these read-only arrays.
+    Each gate must be monomial (at most one nonzero entry per row and per
+    column), so its effect G^T G is diagonal, one square per entry; a gate
+    that is not raises ValueError naming its channel and outcome.  The
+    checked, positional-only arguments give a channel one cache entry (for
+    an int and a bool), whose read-only arrays every caller shares.
     """
     import numpy as np
 
     i = _check_index("channel", i)
-    if use_paper_gates:
+    if _check_bool("use_paper_gates", use_paper_gates):
         from . import published
 
         exact = [published.paper_gate(i, k) for k in range(9)]
     else:
         exact = [engine.derive_gate(i, k) for k in range(9)]
     gates = np.stack([gate_matrix(g) for g in exact])
-    effects = np.einsum("kji,kjl->kil", gates, gates)
+    nonzero = gates != 0.0
+    dense = np.flatnonzero(np.maximum(nonzero.sum(axis=1), nonzero.sum(axis=2)).max(axis=1) > 1)
+    if len(dense):
+        raise ValueError(f"channel {i}, outcome {dense[0]}: gate is not monomial")
+    effects = (gates * gates).sum(axis=1)
     exact_recoveries = [recovery(g) for g in exact]
     invertible = np.array([rec is not None for rec in exact_recoveries])
     recoveries = np.stack(
@@ -235,76 +241,46 @@ def as_state(phi: Sequence[complex]) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _born_terms(data: bytes, count: int):
-    """The plan of `born_weights` for `count` real 3x3 effects, given as
-    their float64 bytes: ``(pairs, terms, table)``.
-
-    A term is one distinct (i, j, E_ij) of some nonzero entry.  The terms of
-    one (i, j) are numbered as a run, and `pairs` lists each (i, j) with its
-    run's slice and its values as a column.  Column k of the (depth, count)
-    `table` lists the terms of effect k's nonzero entries in row-major
-    order, padded to the depth with `terms`, the number of a zero term.
-    """
+def _born_plan(data: bytes):
+    """Per amplitude i, the distinct values of column i of the effect diagonals
+    `data` (float64 bytes) as a read-only column, and each effect's index."""
     import numpy as np
 
-    effects = np.frombuffer(data).reshape(count, 3, 3).tolist()
-    entries = [
-        [(i, j, e) for i, row in enumerate(effect) for j, e in enumerate(row) if e != 0.0]
-        for effect in effects
-    ]
-    runs = {}
-    for i, j, e in (entry for column in entries for entry in column):
-        runs.setdefault((i, j), {}).setdefault(e)
-    pairs, number = [], {}
-    for (i, j), values in runs.items():
-        run = slice(len(number), len(number) + len(values))
-        pairs.append((i, j, run, np.array(list(values))[:, np.newaxis]))
-        for e in values:
-            number[i, j, e] = len(number)
-    terms = len(number)
-    depth = max(map(len, entries))
-    table = [[number[t] for t in column] + [terms] * (depth - len(column)) for column in entries]
-    table = np.array(table, dtype=np.intp).reshape(count, depth).T
-    for a in (table, *(pair[3] for pair in pairs)):
-        a.flags.writeable = False  # every call shares them through the cache
-    return tuple(pairs), terms, table
+    plan = []
+    for column in np.frombuffer(data).reshape(-1, 3).T:
+        values, index = np.unique(column, return_inverse=True)
+        values.flags.writeable = index.flags.writeable = False  # shared by the cache
+        plan.append((values[:, np.newaxis], index))
+    return tuple(plan)
 
 
 def born_weights(effects: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Born weights <v|E_k|v>, clipped at zero; printed effects may not sum to I.
+    """Born weights <v|E_k|v> of effects given as their (count, 3) diagonals.
 
-    `v` is one state of shape (3,) or a stack of shape (n, 3); a stack gives
-    (n, 9) weights, each row equal bit for bit to the call on that row.
-
-    With v = a + ib and real effects, the weight of effect E is the written
-    sum over its nonzero entries E_ij, in row-major order, of
-    ``(a_i * E_ij) * a_j + (b_i * E_ij) * b_j``, accumulated from +0.  A
-    zero entry would add only a signed zero, so it is skipped; every effect
-    of the derived and the printed gates is diagonal.  The sums fill an
-    outcome-major (9, n) block, one contiguous row per effect, and a term
-    (i, j, E_ij) that several effects share is computed once per call; the
-    weights are that block's transpose.  An effect with fewer entries than
-    another adds +0 in their place, which leaves a sum from +0 as it is.
+    `v` is one state (3,) or a stack (n, 3); a stack gives (n, count)
+    weights, each row equal bit for bit to the call on that row.  With
+    v = a + ib, a weight is ``(t_0 + t_1) + t_2`` for
+    ``t_i = (a_i * E_ii) * a_i + (b_i * E_ii) * b_i``; a diagonal of G^T G
+    is nonnegative, so no term is below +0 and no weight needs a clip.
+    The sums fill an outcome-major (count, n) block, one row per effect,
+    and a term that several effects share is computed once.
     """
     import numpy as np
 
-    effects = np.ascontiguousarray(effects, dtype=np.float64)
-    pairs, count, table = _born_terms(effects.tobytes(), len(effects))
+    plan = _born_plan(np.ascontiguousarray(effects, dtype=np.float64).tobytes())
     # one state is a stack of one, so every array below has a trial axis
     state = v.reshape((-1, 3)).T
-    a, b, n = state.real, state.imag, state.shape[1]
-    terms = np.zeros((count + 1, n))  # the last stays the zero term
-    for i, j, run, e in pairs:
-        term = terms[run]
-        np.multiply(a[i], e, out=term)
-        term *= a[j]
+    a, b = state.real, state.imag
+    for i, (e, index) in enumerate(plan):
+        term = a[i] * e
+        term *= a[i]
         imag = b[i] * e
-        imag *= b[j]
+        imag *= b[i]
         term += imag
-    block = np.zeros((len(effects), n))
-    for column in table:
-        block += terms[column]
-    np.clip(block, 0.0, None, out=block)
+        if i == 0:
+            block = term[index]
+        else:
+            block += term[index]
     return block.T.reshape(v.shape[:-1] + (len(effects),))
 
 

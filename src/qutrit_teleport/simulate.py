@@ -57,7 +57,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis
-from .basis import _check_index
+from .basis import _check_bool, _check_index
 
 # every trial's event log: (event, party) in protocol order
 EVENT_LOG = (
@@ -427,6 +427,7 @@ def run_batch_columns(
     trials = _check_index("trials", trials, None)
     if trials < 1:
         raise ValueError("need at least one trial")
+    haar = _check_bool("haar", haar)
     if haar == (input_state is not None):
         raise ValueError("choose exactly one of a fixed input state or haar mode")
     fixed_phi = None if haar else analysis.as_state(input_state)
@@ -467,7 +468,7 @@ def run_batch_columns(
         fidelities = analysis.overlap(phis[applied], gates[k], recoveries[k])
         # Averaging the Born rule over the uniform state distribution
         # replaces |phi><phi| with I/3.
-        drawn_from = effects.trace(axis1=1, axis2=2) / 3.0
+        drawn_from = effects.sum(axis=1) / 3.0
     else:
         # one overlap per outcome that occurred, so none of zero mass
         occurred = np.flatnonzero(np.bincount(k, minlength=9))

@@ -177,7 +177,8 @@ def test_numeric_channel_is_the_float_view_of_the_exact_gates(use_paper_gates):
     for i in range(9):
         channel = analysis.numeric_channel(i, use_paper_gates)
         gates, effects, recoveries, invertible = channel
-        assert gates.shape == effects.shape == recoveries.shape == (9, 3, 3)
+        assert gates.shape == recoveries.shape == (9, 3, 3)
+        assert effects.shape == (9, 3)
         assert invertible.shape == (9,) and invertible.dtype == bool
         assert not any(a.flags.writeable for a in channel)
         for k in range(9):
@@ -187,7 +188,7 @@ def test_numeric_channel_is_the_float_view_of_the_exact_gates(use_paper_gates):
                 else engine.derive_gate(i, k)
             )
             assert np.array_equal(gates[k], analysis.gate_matrix(exact))
-            assert np.allclose(effects[k], gates[k].T @ gates[k], atol=1e-15)
+            assert np.allclose(np.diag(effects[k]), gates[k].T @ gates[k], atol=1e-15)
             rec = recovery(exact)
             assert invertible[k] == (rec is not None)
             if rec is None:
@@ -211,6 +212,73 @@ def test_numeric_channel_has_one_cache_entry_per_channel():
     fidelity_after_recovery(5, 0, (0.6, 0.48j, 0.64))
     info = analysis.numeric_channel.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
+
+
+def test_numeric_channel_checks_its_flag_by_name():
+    # 1 hashes like True, so an unchecked flag would build a second entry
+    with pytest.raises(TypeError) as raised:
+        analysis.numeric_channel(0, 1)
+    assert str(raised.value) == "use_paper_gates must be a bool, not int"
+    with pytest.raises(TypeError, match="use_paper_gates must be a bool, not str"):
+        analysis.numeric_channel(0, "no")
+    for a, b in zip(analysis.numeric_channel(0, np.True_), analysis.numeric_channel(0, True)):
+        assert np.array_equal(a, b)
+
+
+def _is_monomial(g):
+    """At most one nonzero entry per row and per column, over the exact field."""
+    nonzero = [[not g.entry(r, c).is_zero() for c in range(3)] for r in range(3)]
+    return all(sum(row) <= 1 for row in nonzero) and all(sum(col) <= 1 for col in zip(*nonzero))
+
+
+def test_every_gate_is_monomial():
+    # all 81 derived and 81 printed gates, so every effect is diagonal and
+    # every numeric channel builds
+    gates = [engine.derive_gate(i, k) for i in range(9) for k in range(9)]
+    gates += [published.paper_gate(i, k) for i in range(9) for k in range(9)]
+    assert len(gates) == 162 and all(map(_is_monomial, gates))
+    for i in range(9):
+        for use_paper_gates in (False, True):
+            analysis.numeric_channel(i, use_paper_gates)
+
+
+@pytest.fixture
+def fresh_numeric_channels():
+    analysis.numeric_channel.cache_clear()
+    yield
+    analysis.numeric_channel.cache_clear()
+
+
+def test_a_dense_gate_is_refused_by_its_channel_and_outcome(monkeypatch, fresh_numeric_channels):
+    # one doctored gate with two nonzero entries in a row; its effect would
+    # have an off-diagonal entry, which the (9, 3) diagonals cannot hold
+    derive_gate = engine.derive_gate
+    dense = Operator3.identity() + Operator3(((ExtScalar(), rational(1, 2), ExtScalar()),) * 3)
+
+    def doctored(i, k):
+        return dense if (i, k) == (4, 6) else derive_gate(i, k)
+
+    monkeypatch.setattr(engine, "derive_gate", doctored)
+    assert not _is_monomial(dense)
+    with pytest.raises(ValueError) as raised:
+        analysis.numeric_channel(4, False)
+    assert str(raised.value) == "channel 4, outcome 6: gate is not monomial"
+    analysis.numeric_channel(3, False)  # the other channels still build
+
+
+@pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
+def test_effect_diagonals_equal_the_einsum_effects(use_paper_gates):
+    # the (9, 3) diagonals against the (9, 3, 3) einsum stack the package
+    # stored before, bit for bit, and their row sums against its trace
+    for i in range(9):
+        gates, effects, _, _ = analysis.numeric_channel(i, use_paper_gates)
+        stack = effects_einsum(gates)
+        off_diagonal = stack[:, ~np.eye(3, dtype=bool)]
+        assert not off_diagonal.any()
+        assert np.array_equal(_bits(effects), _bits(np.diagonal(stack, axis1=1, axis2=2)))
+        assert np.array_equal(
+            _bits(effects.sum(axis=1)), _bits(stack.trace(axis1=1, axis2=2))
+        )
 
 
 def test_recovery_examples():
@@ -379,16 +447,23 @@ def test_stacked_born_weights_equal_the_per_row_call(use_paper_gates):
 # -- born_weights against two oracles -------------------------------------------
 
 
-def born_weights_einsum(effects, v):
+def effects_einsum(gates):
+    """The effects G^T G as the (9, 3, 3) stack the package stored before it
+    kept only their diagonals."""
+    return np.einsum("kji,kjl->kil", gates, gates)
+
+
+def born_weights_einsum(gates, v):
     """The Born rule as the package wrote it before the written order: a
-    three-operand einsum, clipped at zero."""
+    three-operand einsum over the dense effects, clipped at zero."""
+    effects = effects_einsum(gates)
     return np.clip(np.einsum("...i,kij,...j->...k", v.conj(), effects, v).real, 0.0, None)
 
 
 def born_weights_written(effects, v):
     """The written order in plain Python floats, one row at a time: per
-    effect, from +0, add ``(a_i * E_ij) * a_j + (b_i * E_ij) * b_j`` over
-    every (i, j) in row-major order, zero entries included, then clip."""
+    effect diagonal, from +0, add ``(a_i * E_ii) * a_i + (b_i * E_ii) * b_i``
+    for i = 0, 1, 2, zero entries included, then clip."""
     effects = effects.tolist()
     rows = []
     for row in np.atleast_2d(v).tolist():
@@ -397,8 +472,7 @@ def born_weights_written(effects, v):
         for e in effects:
             acc = 0.0
             for i in range(3):
-                for j in range(3):
-                    acc += (a[i] * e[i][j]) * a[j] + (b[i] * e[i][j]) * b[j]
+                acc += (a[i] * e[i]) * a[i] + (b[i] * e[i]) * b[i]
             weights.append(acc if acc >= 0.0 else 0.0)
         rows.append(weights)
     return np.array(rows).reshape(v.shape[:-1] + (len(effects),))
@@ -408,13 +482,14 @@ def _bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
-@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
-def test_born_weights_follow_the_written_order_on_dense_effects(symmetric):
-    # dense random effects, so no (i, j) is skipped; rows of any norm
-    rng = np.random.default_rng(19 + symmetric)
-    effects = rng.standard_normal((9, 3, 3))
-    if symmetric:
-        effects = effects + effects.transpose(0, 2, 1)
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_born_weights_follow_the_written_order_on_random_diagonals(sparse):
+    # random nonnegative diagonals over many magnitudes, with about half of
+    # their entries zero when sparse; rows of any norm
+    rng = np.random.default_rng(19 + sparse)
+    effects = 10.0 ** rng.uniform(-3, 3, (9, 3))
+    if sparse:
+        effects[rng.random((9, 3)) < 0.5] = 0.0
     stack = rng.standard_normal((10_000, 3)) + 1j * rng.standard_normal((10_000, 3))
     stack[:3] = np.eye(3)
     assert np.array_equal(
@@ -427,16 +502,16 @@ def test_born_weights_follow_the_written_order_on_dense_effects(symmetric):
 
 
 def test_born_weights_share_repeated_terms_and_keep_an_empty_outcome():
-    # sparse effects whose outcomes repeat one (i, j, value) entry, so the
-    # term computed once serves several rows, and whose outcome 4 is all
-    # zero, so its row stays at +0
+    # diagonals whose outcomes repeat one (i, value) entry, so the term
+    # computed once serves several rows, and whose outcome 4 is all zero,
+    # so its row stays at +0
     rng = np.random.default_rng(29)
-    effects = np.zeros((9, 3, 3))
-    effects[:, 1, 1] = 0.25
-    effects[::2, 0, 2] = -1.5
-    effects[1::3, 2, 0] = rng.standard_normal(3)
-    effects[[0, 3, 8], 2, 2] = 2.0
-    effects[7] = rng.standard_normal((3, 3))
+    effects = np.zeros((9, 3))
+    effects[:, 1] = 0.25
+    effects[::2, 0] = 1.5
+    effects[1::3, 2] = rng.random(3)
+    effects[[0, 3, 8], 2] = 2.0
+    effects[7] = rng.random(3)
     effects[4] = 0.0
     stack = rng.standard_normal((3000, 3)) + 1j * rng.standard_normal((3000, 3))
     stack[:3] = np.eye(3)
@@ -452,16 +527,17 @@ def test_born_weights_share_repeated_terms_and_keep_an_empty_outcome():
 
 @pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
 def test_born_weights_equal_einsum_on_the_package_effects(use_paper_gates):
-    # every effect is diagonal, so the written order skips the off-diagonal
-    # (i, j); the plain-float oracle adds them and must still agree
+    # the diagonals' written order against the einsum over the dense
+    # effects, whose off-diagonal zeros it never reads, and against the
+    # plain-float oracle
     rng = np.random.default_rng(23)
     raw = rng.standard_normal((20_000, 6))
     stack = analysis.normalized(raw[:, 0::2] + 1j * raw[:, 1::2])
     stack = np.concatenate([np.eye(3, dtype=complex), stack])
     for channel in range(9):
-        effects = analysis.numeric_channel(channel, use_paper_gates).effects
+        gates, effects, _, _ = analysis.numeric_channel(channel, use_paper_gates)
         weights = analysis.born_weights(effects, stack)
-        assert np.array_equal(_bits(weights), _bits(born_weights_einsum(effects, stack)))
+        assert np.array_equal(_bits(weights), _bits(born_weights_einsum(gates, stack)))
         assert np.array_equal(
             _bits(weights[:300]), _bits(born_weights_written(effects, stack[:300]))
         )

@@ -219,6 +219,17 @@ _VALID_ARGUMENTS = {
         (run_batch, dict(channel=-1), ValueError, "channel index -1 out of range 0..8"),
         (run_batch, dict(master_seed=True), TypeError, "master_seed must be an integer, not bool"),
         (run_batch, dict(master_seed=0.0), TypeError, "master_seed must be an integer, not float"),
+        (run_batch, dict(haar="no"), TypeError, "haar must be a bool, not str"),
+        (run_batch, dict(haar=1), TypeError, "haar must be a bool, not int"),
+        (run_batch, dict(haar=None), TypeError, "haar must be a bool, not NoneType"),
+        (run_batch, dict(use_paper_gates=1),
+         TypeError, "use_paper_gates must be a bool, not int"),
+        (run_batch, dict(use_paper_gates="no"),
+         TypeError, "use_paper_gates must be a bool, not str"),
+        (run_trial, dict(use_paper_gates=0),
+         TypeError, "use_paper_gates must be a bool, not int"),
+        (run_trial, dict(use_paper_gates="yes"),
+         TypeError, "use_paper_gates must be a bool, not str"),
         (run_trial, dict(channel=True), TypeError, "channel must be an integer, not bool"),
         (run_trial, dict(channel=1.0), TypeError, "channel must be an integer, not float"),
         (run_trial, dict(channel="0"), TypeError, "channel must be an integer, not str"),
@@ -242,11 +253,16 @@ def test_library_arguments_are_checked_by_name(function, changed, error, message
 
 
 def test_integer_like_arguments_run_as_their_int():
-    # numpy integers pass through operator.index, and the summary holds ints
+    # numpy integers pass through operator.index, and the summary holds ints;
+    # numpy bools pass the flag rule
     summary = run_batch(np.int64(3), np.uint16(10), np.int8(5), haar=True)
     assert summary == run_batch(3, 10, 5, haar=True)
     assert type(summary.channel) is int
     assert run_trial(np.int32(8), KET0, seed=7) == run_trial(8, KET0, seed=7)
+    assert run_batch(3, 10, 5, haar=np.True_) == summary
+    fixed = dict(input_state=KET0, haar=np.False_, use_paper_gates=np.True_)
+    assert run_batch(3, 10, 5, **fixed) == run_batch(3, 10, 5, KET0, False, True)
+    assert run_trial(8, KET0, 7, np.True_) == run_trial(8, KET0, 7, True)
 
 
 REPLAY_STATE = (0.5, 0.5j, 0.5 + 0.5j)
