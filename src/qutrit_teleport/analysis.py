@@ -27,7 +27,7 @@ channel's one entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
@@ -47,15 +47,11 @@ CLASS_SINGULAR = "singular"
 _NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GateProfile:
-    channel: Optional[int]
-    outcome: Optional[int]
-    frobenius_norm_sq: ExtScalar
-    unitarity_deviation_sq: ExtScalar
-    scaled_unitarity_deviation_sq: ExtScalar
-    rank: int
-    classification: str
+GateProfile = namedtuple(
+    "GateProfile",
+    "channel outcome frobenius_norm_sq unitarity_deviation_sq"
+    " scaled_unitarity_deviation_sq rank classification",
+)
 
 
 def profile_gate(
@@ -267,7 +263,10 @@ def born_weights(effects: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    plan = _born_plan(np.ascontiguousarray(effects, dtype=np.float64).tobytes())
+    effects = np.ascontiguousarray(effects, dtype=np.float64)
+    if effects.ndim != 2 or effects.shape[1] != 3:
+        raise ValueError(f"effects must be (count, 3) diagonals, not shape {effects.shape}")
+    plan = _born_plan(effects.tobytes())
     # one state is a stack of one, so every array below has a trial axis
     state = v.reshape((-1, 3)).T
     a, b = state.real, state.imag

@@ -23,7 +23,7 @@ cache's key (``unhashable type``) instead.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .exact import INV_SQRT2, INV_SQRT3, INV_SQRT6, _dot
@@ -47,13 +47,10 @@ _STATE_TERMS = (
 )
 
 
-@dataclass(frozen=True)
-class ExpansionRow:
-    """|a2>|b> = sum_i coefficients[i] * |Psi_i>, coefficients exact."""
+class ExpansionRow(namedtuple("ExpansionRow", "a2 b coefficients")):
+    """|a2>|b> = sum_i coefficients[i] * |Psi_i> over i = 0..8, coefficients exact."""
 
-    a2: int
-    b: int
-    coefficients: tuple  # indexed by entangled-state index 0..8
+    __slots__ = ()
 
 
 def _check_index(name: str, value, size: int | None = 9) -> int:

@@ -17,8 +17,6 @@ the adjoint of an operator is its transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import ONE, ZERO, ExtScalar, _dot
 
 
@@ -28,15 +26,32 @@ def _gram(vectors) -> tuple:
     return tuple(tuple(_dot(x, y) for y in vectors) for x in vectors)
 
 
-@dataclass(frozen=True)
 class Operator3:
-    """3x3 exact matrix; equality and hashing compare the entries."""
+    """3x3 exact matrix, immutable; equality and hashing compare the entries."""
 
-    rows: tuple
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
+    def __init__(self, rows: tuple) -> None:
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Operator3 requires a 3x3 entry grid")
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Operator3 is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Operator3, (self.rows,)
+
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"Operator3(rows={self.rows!r})"
 
     @classmethod
     def from_terms(cls, scale: ExtScalar, terms) -> "Operator3":

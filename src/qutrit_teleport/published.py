@@ -30,11 +30,10 @@ Transcription conventions, applied uniformly and recorded in entry notes:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from itertools import permutations
 
 from . import engine
 from .basis import ExpansionRow, _check_index, expand_product
@@ -401,23 +400,28 @@ def paper_expansion(a2: int, b: int) -> ExpansionRow:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErrataEntry:
-    location: str
-    kind: str
-    channel: Optional[int]
-    outcome: Optional[int]
-    printed_label: str
-    discrepancy: str
-    notes: str
-    paper_value: object = field(compare=False, default=None)
-    oracle_value: object = field(compare=False, default=None)
+class ErrataEntry(namedtuple(
+    "ErrataEntry",
+    "location kind channel outcome printed_label discrepancy notes paper_value oracle_value",
+    defaults=(None, None),
+)):
+    """One diffed value.  Equality and hashing ignore `paper_value` and
+    `oracle_value`, the two values the other fields describe."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self[:7] == other[:7]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:7])
 
 
-@dataclass
-class ErrataReport:
-    entries: tuple
-    summary: dict
+class ErrataReport(namedtuple("ErrataReport", "entries summary")):
+    __slots__ = ()
 
     def mismatches(self) -> tuple:
         return tuple(
@@ -460,7 +464,7 @@ def classify_ket(paper: Operator3, oracle: Operator3) -> str:
         paper.flat(),
         oracle.flat(),
         _row_support,
-        lambda: Counter(paper.rows) == Counter(oracle.rows),
+        lambda: oracle.rows in permutations(paper.rows),
     )
 
 

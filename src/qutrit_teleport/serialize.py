@@ -13,13 +13,13 @@ it is stored under, and the gate object written here adds that key and a
 provenance string ("oracle" for a derived gate, "paper" for a transcribed
 one).
 
-Every document goes through the one encoder, `dumps_canonical`.  The
-functions here that make a document put each `ExtScalar` into it as it
-is; the encoder writes it as a numbered slot string and then fills the
-slot with the scalar's object text, rendered from its integer numerators
-once per distinct value and indent.  `_ratios` spells the "p/q" strings for that
-text and for `scalar_to_obj`.  `scalar_from_obj` reads the four literals
-as integers and reduces them once, with no `Fraction`.  The test suite
+Every document goes through the one writer, `dumps_canonical`: the text
+of `json` with sorted keys and a two-space indent, written in one pass
+of its own.  The functions that make a document leave each `ExtScalar`
+in it as it is, and the writer writes its four-key object, rendered once
+per distinct value and indent; `_ratios` spells its "p/q" strings, and
+those of `scalar_to_obj`.  `scalar_from_obj` reads the four literals as
+integers and reduces them once, with no `Fraction`.  The test suite
 checks both against the `Fraction` forms they replaced.  The errata
 report's `published` names are imported inside `errata_dumps`, so a
 process that writes no errata report never loads the transcription.
@@ -29,6 +29,7 @@ straight from the batch columns, in pieces of a thousand trials: the
 JSON header is `dumps_canonical` around a placeholder trial log, and each
 trial fills one %-template rendered once per batch.  The test suite
 checks it byte for byte against `dumps_canonical` of the full document.
+`asdict` is imported there, so no exact command loads `dataclasses`.
 
 JSON Schemas for the three machine-readable documents (gate table, errata
 report, batch summary) ship with the package under ``schemas/``.
@@ -38,9 +39,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict
-from importlib import resources
 from itertools import chain, islice, repeat
+from json.encoder import encode_basestring
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterator
 
@@ -54,64 +54,72 @@ if TYPE_CHECKING:
     from .simulate import BatchSummary
 
 
-# Marks where a value goes in a document rendered by `dumps_canonical`; the
-# encoder writes it as "\u0000", which no other string here contains.
+# a placeholder string, written as "\u0000", which no other string here holds
 _SLOT = "\0"
-_SLOT_TEXT = json.dumps(_SLOT)
-# A numbered slot, as the encoder writes it: the `ExtScalar` of that number.
-_SCALAR_SLOT = re.compile(r'"\\u0000([0-9]+)"')
+_SLOT_TEXT = encode_basestring(_SLOT)
+# float.__repr__ of the three floats that `json` spells its own way
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def dumps_canonical(obj) -> str:
-    """``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)``
-    and a newline, with each `ExtScalar` in `obj` written as its
-    `scalar_to_obj` object.
+    """The text `json.dumps` writes for `obj` with ``ensure_ascii=False``,
+    ``sort_keys=True`` and ``indent=2``, and a newline, with each
+    `ExtScalar` in `obj` written as its `scalar_to_obj` object.
 
-    CPython encodes with `indent` in pure Python, one call per value, so
-    the encoder writes each scalar as one numbered slot string instead of
-    a four-key object.  Each slot is then filled with the scalar's object
-    text, indented as the encoder would have indented it and rendered
-    once per distinct value and indent.  A string of `obj` that reads as
-    a slot (NUL and digits) would be filled too, so it raises ValueError.
+    One recursive pass (`_write`) appends each value's text to a list.
+    Past the scalars, it checks types in `json`'s order, so a subclass of
+    str, int or float is written as its base type, and any other value
+    raises the TypeError `json` raises.
+    A scalar's object text is rendered once per distinct value and indent.
     """
-    numbers = {}
-    slots = 0
-
-    def slot(x):
-        nonlocal slots
-        if not isinstance(x, ExtScalar):
-            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-        slots += 1
-        return f"{_SLOT}{numbers.setdefault(x._n, len(numbers))}"
-
-    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2, default=slot)
-    if numbers:
-        text = _fill_scalars(text, list(numbers), slots)
-    return text + "\n"
+    out = []
+    _write(obj, "\n", out, {})
+    return "".join(out) + "\n"
 
 
-def _fill_scalars(text: str, values: list, slots: int) -> str:
-    """`text` with each of its `slots` numbered slots replaced by the
-    object text of ``values[number]``, a (n1, n2, n3, n6, d) tuple.  With
-    ``indent=2`` every value starts a line or follows its key, so a slot's
-    object is indented by the leading spaces of its own line."""
-    parts = _SCALAR_SLOT.split(text)
-    if len(parts) != 2 * slots + 1:
-        raise ValueError("a string of the document reads as a scalar slot")
-    filled = {}
-    for at in range(1, len(parts), 2):
-        line = parts[at - 1][parts[at - 1].rfind("\n") + 1:]
-        key = parts[at], len(line) - len(line.lstrip(" "))
-        if key not in filled:
-            number, indent = key
-            pad = "\n" + " " * (indent + 2)
-            fields = ",".join(
-                f'{pad}"{name}": "{ratio}"'
-                for name, ratio in zip(_SCALAR_KEYS, _ratios(values[int(number)]))
-            )
-            filled[key] = "{" + fields + "\n" + " " * indent + "}"
-        parts[at] = filled[key]
-    return "".join(parts)
+def _write(obj, pad: str, out: list, scalars: dict) -> None:
+    """Append the JSON text of `obj` to `out`.  `pad` is a newline and the
+    indent of the line `obj` starts on; `scalars` maps (value, pad) to the
+    object text of an `ExtScalar` already written."""
+    if isinstance(obj, ExtScalar):
+        key = obj._n, pad
+        if key not in scalars:
+            fields = zip(_SCALAR_KEYS, _ratios(obj._n))
+            scalars[key] = "{" + ",".join(f'{pad}  "{k}": "{r}"' for k, r in fields) + pad + "}"
+        out.append(scalars[key])
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_NONFINITE.get(text := float.__repr__(obj), text))
+    elif isinstance(obj, (list, tuple, dict)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, (list, tuple)):
+        inner, start = pad + "  ", len(out)
+        comma = "," + inner
+        for item in obj:
+            out.append(comma)
+            _write(item, inner, out, scalars)
+        out[start] = "[" + inner
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        inner, start = pad + "  ", len(out)
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = dumps_canonical(key)[:-1]
+            out.append(f",{inner}{encode_basestring(key)}: ")
+            _write(value, inner, out, scalars)
+        out[start] = "{" + out[start][1:]
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # -- scalars, pre-measurement states, operators --------------------------------
@@ -215,11 +223,7 @@ def gate_from_obj(obj: dict) -> Operator3:
 
 
 def expansion_to_obj(row: ExpansionRow) -> dict:
-    return {
-        "a2": row.a2,
-        "b": row.b,
-        "coefficients": row.coefficients,
-    }
+    return row._asdict()
 
 
 # -- basis and analysis documents ---------------------------------------------
@@ -320,13 +324,7 @@ def errata_dumps(report: ErrataReport) -> str:
         "summary": dict(report.summary),
         "entries": [
             {
-                "location": e.location,
-                "kind": e.kind,
-                "channel": e.channel,
-                "outcome": e.outcome,
-                "printed_label": e.printed_label,
-                "discrepancy": e.discrepancy,
-                "notes": e.notes,
+                **e._asdict(),
                 "paper_value": value_obj(e, e.paper_value, "paper"),
                 "oracle_value": value_obj(e, e.oracle_value, "oracle"),
             }
@@ -366,8 +364,9 @@ def _trial_template(channel: int) -> str:
         event_log=[[name, party] for name, party in EVENT_LOG],
         input_state=[[_SLOT, _SLOT]] * 3,
     )
-    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)
-    return "%s    " + text.replace("%", "%%").replace(_SLOT_TEXT, "%s").replace("\n", "\n    ")
+    out = []
+    _write(obj, "\n    ", out, {})
+    return "%s    " + "".join(out).replace("%", "%%").replace(_SLOT_TEXT, "%s")
 
 
 def _pieces(lines: Iterator[str]) -> Iterator[str]:
@@ -405,6 +404,8 @@ def simulation_pieces(
     is made: a non-finite probability, fidelity or input amplitude, which
     JSON cannot carry, raises ValueError.
     """
+    from dataclasses import asdict
+
     import numpy as np
 
     phis, rows, seeds, outcomes, probabilities, applied, fidelities = columns
@@ -455,5 +456,7 @@ def simulation_pieces(
 
 def load_schema(name: str) -> dict:
     """Load one of the shipped JSON schemas by file name."""
+    from importlib import resources
+
     path = resources.files("qutrit_teleport").joinpath("schemas", name)
     return json.loads(path.read_text(encoding="utf-8"))

@@ -123,6 +123,7 @@ def run_trial(
     channel = _check_index("channel", channel)
     seed = _check_non_negative("seed", seed)
     phi = analysis.as_state(input_state)
+    use_paper_gates = _check_bool("use_paper_gates", use_paper_gates)  # np.True_ keys as True
     gates, effects, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
 
     weights = analysis.born_weights(effects, phi)
@@ -432,6 +433,7 @@ def run_batch_columns(
         raise ValueError("choose exactly one of a fixed input state or haar mode")
     fixed_phi = None if haar else analysis.as_state(input_state)
     channel = _check_index("channel", channel)
+    use_paper_gates = _check_bool("use_paper_gates", use_paper_gates)  # np.True_ keys as True
     gates, effects, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
 
     seeds = trial_seeds(master_seed, trials)

@@ -22,7 +22,7 @@ from qutrit_teleport.analysis import (
 )
 from qutrit_teleport.exact import ExtScalar, rational
 from qutrit_teleport.linalg import Operator3
-from qutrit_teleport.simulate import run_batch, run_trial
+from qutrit_teleport.simulate import run_batch, run_batch_columns, run_trial
 
 
 def random_state(rng):
@@ -223,6 +223,17 @@ def test_numeric_channel_checks_its_flag_by_name():
         analysis.numeric_channel(0, "no")
     for a, b in zip(analysis.numeric_channel(0, np.True_), analysis.numeric_channel(0, True)):
         assert np.array_equal(a, b)
+
+
+def test_a_numpy_bool_flag_shares_the_channel_cache_entry():
+    # the cache is typed, so np.True_ reaching numeric_channel unchecked
+    # would key a second build of the same channel
+    analysis.numeric_channel.cache_clear()
+    run_batch(0, 10, 1, haar=True, use_paper_gates=True)
+    run_batch(0, 10, 1, haar=np.True_, use_paper_gates=np.True_)
+    run_batch_columns(0, 10, 1, haar=True, use_paper_gates=np.True_)
+    run_trial(0, (1, 0, 0), 3, np.True_)
+    assert analysis.numeric_channel.cache_info().currsize == 1
 
 
 def _is_monomial(g):
@@ -523,6 +534,13 @@ def test_born_weights_share_repeated_terms_and_keep_an_empty_outcome():
         assert np.array_equal(
             _bits(analysis.born_weights(effects, v)), _bits(born_weights_written(effects, v))
         )
+
+
+@pytest.mark.parametrize("shape", [(9, 3, 3), (9,), (9, 4), (3, 9)])
+def test_born_weights_refuse_effects_that_are_not_diagonals(shape):
+    with pytest.raises(ValueError) as raised:
+        analysis.born_weights(np.ones(shape), np.array([1, 0, 0], dtype=complex))
+    assert str(raised.value) == f"effects must be (count, 3) diagonals, not shape {shape}"
 
 
 @pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])

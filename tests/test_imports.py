@@ -1,7 +1,8 @@
 """Cold-start contract: each process loads only what its subcommand needs.
 
 The exact subcommands and a bare package import never load numpy or
-scipy; `simulate` loads numpy but never scipy.  Within the package, a
+scipy, nor `dataclasses` or the `inspect` it imports; `simulate` loads
+numpy (which imports `inspect`) and `dataclasses`, but never scipy.  Within the package, a
 subcommand loads the transcription (`published`), the text renderers
 (`render`) and the JSON layer (`serialize`) only when its output uses
 them.  Every check runs in a fresh interpreter, because this test process
@@ -23,7 +24,7 @@ _SRC = str(Path(qutrit_teleport.__file__).resolve().parents[1])
 
 # Runs the cli.main argv lists given as JSON in argv[1] after running the
 # import statement in argv[2], then prints the exit codes and which of
-# numpy and scipy ended up in sys.modules.
+# dataclasses, inspect, numpy and scipy ended up in sys.modules.
 _PROBE = """
 import contextlib, io, json, sys
 exec(sys.argv[2])
@@ -32,7 +33,7 @@ if commands:
     from qutrit_teleport import cli
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [cli.main(argv) for argv in commands]
-loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+loaded = sorted(m for m in ("dataclasses", "inspect", "numpy", "scipy") if m in sys.modules)
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
@@ -54,7 +55,7 @@ def _probe(commands, statement="pass"):
 @pytest.mark.parametrize(
     "statement", ["import qutrit_teleport", "import qutrit_teleport.cli"]
 )
-def test_package_import_loads_neither_numpy_nor_scipy(statement):
+def test_package_import_loads_no_numpy_scipy_or_dataclasses(statement):
     assert _probe([], statement) == {"codes": [], "loaded": []}
 
 
@@ -68,10 +69,16 @@ def test_package_import_loads_neither_numpy_nor_scipy(statement):
         [["analyze"]],
         [["export", "--out", "{table}"]],
         [["export", "--out", "{table}"], ["import", "{table}"]],
+        [["basis", "--format", "json"], ["derive", "--format", "json"]],
+        [["compare", "--format", "json"]],
+        [["analyze", "--format", "json"]],
     ],
-    ids=["basis", "derive", "verify", "compare", "analyze", "export", "import"],
+    ids=[
+        "basis", "derive", "verify", "compare", "analyze", "export", "import",
+        "basis-derive-json", "compare-json", "analyze-json",
+    ],
 )
-def test_exact_subcommands_load_neither_numpy_nor_scipy(commands, tmp_path):
+def test_exact_subcommands_load_no_numpy_scipy_or_dataclasses(commands, tmp_path):
     table = str(tmp_path / "table.json")
     argvs = [[arg.format(table=table) for arg in argv] for argv in commands]
     assert _probe(argvs) == {"codes": [0] * len(argvs), "loaded": []}
@@ -160,7 +167,7 @@ def test_the_cli_import_loads_the_exact_core():
 
 def test_simulate_loads_numpy_but_not_scipy():
     argv = ["simulate", "--channel", "0", "--trials", "200", "--haar"]
-    assert _probe([argv]) == {"codes": [0], "loaded": ["numpy"]}
+    assert _probe([argv]) == {"codes": [0], "loaded": ["dataclasses", "inspect", "numpy"]}
 
 
 def test_lazy_package_names_resolve():

@@ -131,6 +131,20 @@ def test_identity_is_one_shared_constant():
     assert hash(Operator3.identity()) == hash(built)
 
 
+def test_an_operator_is_immutable_and_copies_and_pickles_as_its_entries():
+    import copy
+    import pickle
+
+    op = Operator3.unit(2, 1)
+    for change in (lambda: setattr(op, "rows", ()), lambda: delattr(op, "rows")):
+        with pytest.raises(AttributeError, match="immutable"):
+            change()
+    assert pickle.loads(pickle.dumps(op)) == op == copy.deepcopy(op)
+    assert hash(op) == hash((op.rows,))
+    assert repr(op) == f"Operator3(rows={op.rows!r})"
+    assert op != op.rows and op.__eq__(op.rows) is NotImplemented
+
+
 def test_linear_form_zero_iff_all_components_zero():
     # a grid row is the linear form of one receiver amplitude; it is
     # omitted from the rendering exactly when all three coefficients vanish

@@ -175,6 +175,20 @@ def test_label_anomalies_include_required_items():
     assert any("s_8^0" in label for label in locations)
 
 
+def test_an_entry_compares_and_hashes_without_its_two_values():
+    report = published.compare_tables()
+    entry = next(e for e in report.entries if e.kind == KIND_GATE)
+    bare = published.ErrataEntry(*entry[:7])
+    assert (bare.paper_value, bare.oracle_value) == (None, None)
+    assert bare == entry and not bare != entry and hash(bare) == hash(entry)
+    assert entry != tuple(entry) != entry and entry != entry._replace(notes="other")
+    assert repr(bare).startswith(f"ErrataEntry(location={entry.location!r}, kind=")
+    with pytest.raises(AttributeError):
+        entry.notes = ""
+    assert report == published.compare_tables()
+    assert report.entries[0] != report.entries[1]
+
+
 def test_report_regeneration_is_byte_identical():
     first = serialize.errata_dumps(compare_tables())
     second = serialize.errata_dumps(compare_tables())

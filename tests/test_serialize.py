@@ -1,14 +1,17 @@
 """The exact JSON wire form against `Fraction`-based oracles.
 
-`dumps_canonical` writes each `ExtScalar` through a numbered slot that it
-fills after encoding, and `scalar_from_obj` builds an element from four
-integer pairs.  The oracles here are the forms they replaced: each scalar
-as a dict of `Fraction` "p/q" strings encoded by plain ``json.dumps``, and
-the `Fraction` parse of each literal.
+`dumps_canonical` is the package's own JSON writer, which writes each
+`ExtScalar` as its four-key object directly, and `scalar_from_obj` builds
+an element from four integer pairs.  The oracles here are the forms they
+replaced: each scalar as a dict of `Fraction` "p/q" strings encoded by
+plain ``json.dumps``, and the `Fraction` parse of each literal.
 """
 
+import enum
 import json
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,15 +89,31 @@ _rationals = st.one_of(
     st.builds(Fraction, st.integers(-_HUGE, _HUGE), st.integers(1, _HUGE)),
 )
 _scalars = st.builds(ExtScalar, _rationals, _rationals, _rationals, _rationals)
-# no NUL: a string of NUL and digits reads as a slot (tested below)
-_strings = st.text(alphabet=st.characters(blacklist_characters="\0"), max_size=8)
+# NUL and digits drawn often: a string of them must be written as any other
+_strings = st.text(alphabet=st.one_of(st.sampled_from("\0" + "0123"), st.characters()), max_size=8)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Text(str):
+    pass
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 _leaves = st.one_of(
     _scalars,
     st.none(),
     st.booleans(),
     st.integers(-_HUGE, _HUGE),
-    st.floats(allow_nan=False, allow_infinity=False),
+    _finite_floats,
     _strings,
+    # subclasses of int, float and str are written as their base type
+    st.sampled_from(_Level),
+    _finite_floats.map(np.float64),
+    _strings.map(_Text),
 )
 _documents = st.recursive(
     _leaves,
@@ -111,11 +130,36 @@ def test_writer_equals_the_fraction_encoding_at_every_depth(doc):
     assert serialize.dumps_canonical(doc) == oracle_dumps(doc)
 
 
-def test_a_string_that_reads_as_a_slot_is_refused():
-    with pytest.raises(ValueError, match="reads as a scalar slot"):
-        serialize.dumps_canonical({"a": ExtScalar(1), "b": "\0" + "0"})
-    # with no scalar in the document there is nothing to fill
-    assert serialize.dumps_canonical(["\0" + "0"]) == '[\n  "\\u00000"\n]\n'
+def test_a_nul_and_digits_string_beside_a_scalar_is_written_as_json_writes_it():
+    doc = {"a": ExtScalar(1), "b": "\0" + "0", "c": ["\0" + "1", ExtScalar(0, 2)]}
+    assert serialize.dumps_canonical(doc) == oracle_dumps(doc)
+    assert '"b": "\\u00000"' in serialize.dumps_canonical(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{2: "b", 1: "a"}, {2.5: "x", -0.5: "y"}, {True: "t", False: "f"}, {None: "n"}],
+        {"n": float("nan"), "i": float("inf"), "m": float("-inf")},
+        [np.float64(0.1), _Level.HIGH, _Text("t"), False, (), {}, [[]]],
+    ],
+    ids=["non-string-keys", "non-finite-floats", "subclasses-and-empties"],
+)
+def test_writer_equals_json_on_keys_non_finite_floats_and_subclasses(doc):
+    assert serialize.dumps_canonical(doc) == oracle_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1, 2}, [b"bytes"], {"a": np.bool_(True)}, {"a": [object()]}, {(1, 2): 0}, {None: 0, "a": 1}],
+    ids=["set", "bytes", "numpy-bool", "object", "tuple-key", "unsortable-keys"],
+)
+def test_an_unsupported_value_raises_the_type_error_json_raises(doc):
+    with pytest.raises(TypeError) as expected:
+        oracle_dumps(doc)
+    with pytest.raises(TypeError) as raised:
+        serialize.dumps_canonical(doc)
+    assert str(raised.value) == str(expected.value)
 
 
 def fraction_scalar_from_obj(obj) -> ExtScalar:
