@@ -25,11 +25,11 @@ report's `published` names are imported inside `errata_dumps`, so a
 process that writes no errata report never loads the transcription.
 
 `simulate`'s output, JSON or CSV, is written by `simulation_pieces`
-straight from the batch columns, in pieces of a thousand trials: the
-JSON header is `dumps_canonical` around a placeholder trial log, and each
-trial fills one %-template rendered once per batch.  The test suite
-checks it byte for byte against `dumps_canonical` of the full document.
-`asdict` is imported there, so no exact command loads `dataclasses`.
+straight from the batch columns: both formats are a head, a separator, a
+row %-template and a tail, and one loop fills a piece of a thousand rows
+with one %-format.  The test suite checks it byte for byte against
+`dumps_canonical` of the full document.  `asdict` is imported there, so
+no exact command loads `dataclasses`.
 
 JSON Schemas for the three machine-readable documents (gate table, errata
 report, batch summary) ship with the package under ``schemas/``.
@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterator
 
 from . import analysis
-from .basis import ExpansionRow, entangled_state, family_of, gram_matrix
+from .basis import ExpansionRow, _check_bool, entangled_state, family_of, gram_matrix
 from .exact import ExtScalar, _reduced
 from .linalg import Operator3
 
@@ -345,12 +344,10 @@ _CSV_HEADER = "trial_index,outcome,probability,fidelity,recovery_applied\n"
 
 
 def _trial_template(channel: int) -> str:
-    """One trial object of the JSON trial log as a %-template, indented as
-    `dumps_canonical` indents it inside ``"trial_log"``.  The channel and
-    the event log are the same in every trial and are rendered here.  The
-    first slot is the separator from the trial before; the others follow
-    the sorted keys: classical_message, fidelity, the six input-state
-    floats (real, imaginary per amplitude), outcome, outcome_probability,
+    """One trial object of the JSON trial log as a %-template from its
+    opening brace, indented as in ``"trial_log"``.  The slots follow the
+    sorted keys: classical_message, fidelity, the six input-state floats
+    (real, imaginary per amplitude), outcome, outcome_probability,
     recovery_applied, seed."""
     from .simulate import EVENT_LOG
 
@@ -366,21 +363,7 @@ def _trial_template(channel: int) -> str:
     )
     out = []
     _write(obj, "\n    ", out, {})
-    return "%s    " + "".join(out).replace("%", "%%").replace(_SLOT_TEXT, "%s")
-
-
-def _pieces(lines: Iterator[str]) -> Iterator[str]:
-    """The strings of `lines` joined in pieces of `_PIECE_TRIALS`."""
-    return iter(lambda: "".join(islice(lines, _PIECE_TRIALS)), "")
-
-
-def _trial_fidelities(trials, applied, fidelities) -> list:
-    """Every trial's fidelity as a list: the float of each trial in
-    `applied`, in order, and None for the trials that applied no recovery."""
-    out = [None] * trials
-    for t, f in zip(applied.tolist(), fidelities.tolist()):
-        out[t] = f
-    return out
+    return "".join(out).replace("%", "%%").replace(_SLOT_TEXT, "%s")
 
 
 def simulation_pieces(
@@ -392,63 +375,80 @@ def simulation_pieces(
     fmt: str,
 ) -> Iterator[str]:
     """`simulate --format json` or ``--format csv`` as an iterator of text
-    pieces, written straight from the columns of
-    `simulate.run_batch_columns`.
+    pieces, written straight from the columns of `simulate.run_batch_columns`.
 
-    The JSON header and footer are `dumps_canonical` of the document with
-    a placeholder trial log; each trial fills one %-template.  A float slot
-    gets ``str(x)``, which for a float is `float.__repr__`, exactly what
-    `json` writes for a finite float, so the document is byte for byte the
-    canonical encoding of the full trial log (the test suite checks this
-    against `dumps_canonical`).  The columns are checked before any piece
-    is made: a non-finite probability, fidelity or input amplitude, which
-    JSON cannot carry, raises ValueError.
+    Each row slot reads one list of values, and a piece of `_PIECE_TRIALS`
+    trials is one %-format of the row template joined that many times.  A
+    float slot gets ``str(x)``, which is `float.__repr__`, what `json`
+    writes for a finite float.  Before any piece is made, an unknown `fmt`
+    or `mode`, columns that disagree with each other or with
+    ``summary.trials``, and a non-finite probability, fidelity or input
+    amplitude, which JSON cannot carry, raise ValueError; `master_seed`
+    and `use_paper_gates` take the batch's seed and flag rules.
     """
     from dataclasses import asdict
 
     import numpy as np
 
+    from .simulate import _check_non_negative
+
+    if fmt not in ("json", "csv") or mode not in ("fixed", "haar"):
+        raise ValueError(f"need format json or csv and mode fixed or haar, not {fmt!r}, {mode!r}")
+    master_seed = _check_non_negative("master_seed", master_seed)
+    use_paper_gates = _check_bool("use_paper_gates", use_paper_gates)
     phis, rows, seeds, outcomes, probabilities, applied, fidelities = columns
-    for name, column in (
-        ("input state", phis),
-        ("outcome probability", probabilities),
-        ("fidelity", fidelities),
-    ):
+    trials = summary.trials
+    for name, column in zip(("rows", "seeds", "outcomes", "probabilities"), columns[1:5]):
+        if len(column) != trials:
+            raise ValueError(f"the {name} column holds {len(column)} entries for {trials} trials")
+    gaps = np.diff(applied, prepend=-1, append=trials)
+    if len(fidelities) != len(applied) or not (gaps > 0).all():
+        raise ValueError("the applied trials must rise strictly inside the batch, one fidelity each")
+    names = ("input state", "outcome probability", "fidelity")
+    for name, column in zip(names, (phis, probabilities, fidelities)):
         if not np.isfinite(column).all():
             raise ValueError(f"the batch holds a non-finite {name}, which cannot be written")
-    trials = zip(
-        rows.tolist(),
-        outcomes.tolist(),
-        probabilities.tolist(),
-        _trial_fidelities(len(outcomes), applied, fidelities),
-        seeds.tolist(),
-    )
+
+    blank, no, yes = ("", "False", "True") if fmt == "csv" else ("null", "false", "true")
+    fidelity, flag = [blank] * trials, [no] * trials
+    for t, f in zip(applied.tolist(), fidelities.tolist()):
+        fidelity[t], flag[t] = f, yes
+    outcomes, probabilities = outcomes.tolist(), probabilities.tolist()
     if fmt == "csv":
-        lines = (
-            "%d,%d,%r,%s,%s\n" % (t, k, p, "" if f is None else repr(f), f is not None)
-            for t, (_, k, p, f, _) in enumerate(trials)
-        )
-        return chain((_CSV_HEADER,), _pieces(lines))
-    doc = {
-        "channel": summary.channel,
-        "trials": summary.trials,
-        "master_seed": master_seed,
-        "mode": mode,
-        "use_paper_gates": use_paper_gates,
-        "summary": asdict(summary),
-        "trial_log": _SLOT,
-    }
-    head, tail = dumps_canonical(doc).split(_SLOT_TEXT)
-    template = _trial_template(summary.channel)
-    states = np.stack([phis.real, phis.imag], axis=-1).reshape(len(phis), 6).tolist()
-    lines = (
-        template % (
-            sep, k, "null" if f is None else repr(f), *states[row], k, p,
-            "false" if f is None else "true", seed,
-        )
-        for sep, (row, k, p, f, seed) in zip(chain(("",), repeat(",\n")), trials)
-    )
-    return chain((head + "[\n",), _pieces(lines), ("\n  ]" + tail,))
+        head, sep, row, tail = _CSV_HEADER, "", "%d,%d,%r,%s,%s\n", ""
+        fields = (range(trials), outcomes, probabilities, fidelity, flag)
+    else:
+        doc = {
+            "channel": summary.channel,
+            "trials": trials,
+            "master_seed": master_seed,
+            "mode": mode,
+            "use_paper_gates": use_paper_gates,
+            "summary": asdict(summary),
+            "trial_log": [_SLOT],
+        }
+        head, tail = dumps_canonical(doc).split(_SLOT_TEXT)
+        sep, row = ",\n    ", _trial_template(summary.channel)
+        # one list per input-state float, each holding that float of every trial's row
+        states = np.stack([phis.real, phis.imag], axis=-1)[rows].reshape(trials, 6).T.tolist()
+        fields = (outcomes, fidelity, *states, outcomes, probabilities, flag, seeds.tolist())
+    step, width = _PIECE_TRIALS, len(fields)
+
+    def pieces():
+        yield head
+        for start in range(0, trials, step):
+            size = min(step, trials - start)
+            if not start or size < step:
+                # a piece's first slot takes the separator from the piece before
+                template = sep.join(["%s" + row] + [row] * (size - 1))
+            values = [sep if start else ""] + [None] * (size * width)
+            for i, field in enumerate(fields, 1):
+                values[i::width] = field[start:start + size]
+            yield template % tuple(values)
+        if tail:
+            yield tail
+
+    return pieces()
 
 
 # -- schemas -------------------------------------------------------------------

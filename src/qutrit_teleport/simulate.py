@@ -410,9 +410,9 @@ def run_batch_columns(
     `outcomes` and `outcome_probabilities` hold one entry per trial, and
     `applied` lists in order the trials whose outcome has a recovery, with
     their `fidelities` beside them.  No per-trial Python object is built:
-    `serialize.simulation_pieces` writes these columns as the CLI output,
-    and a trial's record is the `run_trial` replay of its row (its input
-    and its seed).
+    `serialize.simulation_pieces` checks these columns against each other
+    and writes them as the CLI output, one %-format per piece of trials;
+    a trial's record is the `run_trial` replay of its row (input, seed).
 
     No step loops over trials in Python, except the redraw of the Haar
     rows that leave the ziggurat's fast path (`_haar_inputs`): the seeding

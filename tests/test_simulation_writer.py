@@ -114,9 +114,13 @@ def test_batch_past_one_piece_matches_the_oracle():
     trials = 2 * serialize._PIECE_TRIALS + 1
     summary, columns, records = batch_records(0, trials, 2**64 - 1, None, True, False)
     assert_writer_matches_oracle(summary, columns, records, 2**64 - 1, "haar", False)
-    pieces = list(serialize.simulation_pieces(summary, columns, 0, "haar", False, "json"))
-    # head, three pieces of trials, tail
-    assert len(pieces) == 5
+    for fmt, tail in (("json", 1), ("csv", 0)):
+        pieces = list(serialize.simulation_pieces(summary, columns, 0, "haar", False, fmt))
+        # head, three pieces of trials, then the tail JSON has and CSV lacks
+        assert len(pieces) == 1 + 3 + tail
+        # a JSON trial holds one "event_log" key, a CSV trial one line
+        per_piece = [p.count('"event_log"' if fmt == "json" else "\n") for p in pieces[1:4]]
+        assert per_piece == [serialize._PIECE_TRIALS, serialize._PIECE_TRIALS, 1]
 
 
 # -- synthetic columns: the floats and integers a batch could hold -------------
@@ -213,4 +217,57 @@ def test_non_finite_column_is_refused_before_any_piece(column, bad, fmt):
         fidelities[0] = bad
     columns = (phis, rows, seeds, outcomes, probabilities, np.arange(5), fidelities)
     with pytest.raises(ValueError, match=f"non-finite {column}"):
+        serialize.simulation_pieces(summary, columns, 3, "haar", False, fmt)
+
+
+@pytest.mark.parametrize(
+    "change, outcome",
+    [
+        ({"fmt": "xml"}, ValueError),
+        ({"mode": "Haar"}, ValueError),
+        ({"master_seed": -1}, ValueError),
+        ({"master_seed": 5.0}, TypeError),
+        ({"use_paper_gates": 1}, TypeError),
+        ({"master_seed": np.int64(5)}, {"master_seed": 5}),
+        ({"use_paper_gates": np.True_}, {"use_paper_gates": True}),
+    ],
+    ids=["fmt-xml", "mode-Haar", "seed-negative", "seed-float", "flag-int", "seed-numpy",
+         "flag-numpy"],
+)
+def test_writer_arguments_take_the_package_rules(change, outcome):
+    """A format or mode the CLI cannot ask for is refused, the master seed
+    takes the batch's non-negative index rule and the flag the bool rule,
+    so numpy ints and bools are written as the Python values they equal."""
+    summary, columns = simulate.run_batch_columns(0, 5, 5, haar=True)
+    args = {"master_seed": 5, "mode": "haar", "use_paper_gates": False, "fmt": "json"}
+    if isinstance(outcome, dict):
+        text = "".join(serialize.simulation_pieces(summary, columns, **{**args, **change}))
+        assert text == "".join(serialize.simulation_pieces(summary, columns, **{**args, **outcome}))
+    else:
+        with pytest.raises(outcome):
+            serialize.simulation_pieces(summary, columns, **{**args, **change})
+
+
+@pytest.mark.parametrize("short", [1, 2, 3, 4], ids=["rows", "seeds", "outcomes", "probabilities"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_short_column_is_refused_before_any_piece(short, fmt):
+    summary, columns = simulate.run_batch_columns(0, 5, 3, haar=True)
+    columns = list(columns)
+    columns[short] = columns[short][:-1]
+    with pytest.raises(ValueError, match="column holds 4 entries for 5 trials"):
+        serialize.simulation_pieces(summary, tuple(columns), 3, "haar", False, fmt)
+
+
+@pytest.mark.parametrize(
+    "applied, count",
+    [([0, 2, 5], 3), ([-1, 2], 2), ([2, 2], 2), ([3, 1], 2), ([1, 3], 1), ([1, 3], 3)],
+    ids=["past-the-batch", "before-the-batch", "twice", "unordered", "fidelity-short",
+         "fidelity-over"],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_applied_trials_off_the_batch_are_refused_before_any_piece(applied, count, fmt):
+    summary, columns = simulate.run_batch_columns(0, 5, 3, haar=True)
+    phis, rows, seeds, outcomes, probabilities, _, _ = columns
+    columns = (phis, rows, seeds, outcomes, probabilities, np.array(applied), np.full(count, 0.5))
+    with pytest.raises(ValueError, match="applied trials must rise strictly"):
         serialize.simulation_pieces(summary, columns, 3, "haar", False, fmt)
