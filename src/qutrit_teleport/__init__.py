@@ -7,49 +7,33 @@ machine-readable errata report, analyzes gate non-unitarity and
 completeness, and runs a seeded Monte-Carlo simulation of the three-party
 protocol.
 
-The errata diff (``compare_tables``) and the simulation names
-(``BatchSummary``, ``TrialRecord``, ``run_batch``, ``run_trial``) are
-loaded on first access, so importing the package for exact work loads
-neither the transcribed tables nor numpy.
+Every public name, and each module that defines one, is loaded on first
+access (PEP 562), so a bare ``import qutrit_teleport`` loads no
+submodule, and exact work loads neither the transcribed tables nor numpy.
 """
 
 from importlib import import_module
 
-from .exact import ExtScalar, rational
-from .linalg import Operator3
-from .basis import ExpansionRow, entangled_state, expand_product
-from .engine import derive_all, derive_gate
-from .analysis import GateProfile, profile_gate, recovery
-
-__all__ = [
-    "ExtScalar",
-    "rational",
-    "Operator3",
-    "ExpansionRow",
-    "entangled_state",
-    "expand_product",
-    "derive_all",
-    "derive_gate",
-    "compare_tables",
-    "GateProfile",
-    "profile_gate",
-    "recovery",
-    "BatchSummary",
-    "TrialRecord",
-    "run_batch",
-    "run_trial",
-]
-
 __version__ = "0.1.0"
 
-# name -> the module that defines it, imported on first access
-_LAZY_NAMES = {
-    "compare_tables": "published",
-    **dict.fromkeys(("BatchSummary", "TrialRecord", "run_batch", "run_trial"), "simulate"),
+# module -> the public names it defines, in the order of __all__
+_PUBLIC = {
+    "exact": ("ExtScalar", "rational"),
+    "linalg": ("Operator3",),
+    "basis": ("ExpansionRow", "entangled_state", "expand_product"),
+    "engine": ("derive_all", "derive_gate"),
+    "published": ("compare_tables",),
+    "analysis": ("GateProfile", "profile_gate", "recovery"),
+    "simulate": ("BatchSummary", "TrialRecord", "run_batch", "run_trial"),
 }
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = list(_HOME)
 
 
 def __getattr__(name):
-    if name in _LAZY_NAMES:
-        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    if name in _PUBLIC:
+        return import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: basis, derive, verify, compare, analyze, simulate, export,
-import.  Exit codes: 0 success, 1 usage error or stdout closed by its
-reader before the output was written, 2 a verification subcommand found a
-violated invariant or mismatch.  Output is written to stdout unless --out
-is given, as UTF-8 in both cases, whatever the locale; identical
-invocations produce byte-identical output.
+import; each one's parser carries its `_cmd_*` handler as the default
+``handler``, which `main` calls.  Exit codes: 0 success, 1 usage error
+or stdout closed by its reader before the output was written, 2 a
+verification subcommand found a violated invariant or mismatch.  Output
+is written to stdout unless --out is given, as UTF-8 in both cases,
+whatever the locale; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -44,33 +45,35 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, help_text):
+    def add(name, help_text, handler):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", metavar="PATH", help="write output to PATH")
+        p.set_defaults(handler=handler)
+        if name != "import":  # import reports a verdict, never a document
+            p.add_argument("--out", metavar="PATH", help="write output to PATH")
         return p
 
-    p = add("basis", "print the nine entangled states and their Gram matrix")
+    p = add("basis", "print the nine entangled states and their Gram matrix", _cmd_basis)
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
-    p = add("derive", "derive pre-measurement states and measurement gates")
+    p = add("derive", "derive pre-measurement states and measurement gates", _cmd_derive)
     p.add_argument("--channel", type=int, choices=range(9), metavar="I")
     p.add_argument("--outcome", type=int, choices=range(9), metavar="K")
     p.add_argument("--format", choices=("json", "latex", "text"), default="text")
     p.add_argument("--roman", action="store_true", help="also show channel numerals")
 
-    p = add("verify", "run the full exact identity suite")
+    add("verify", "run the full exact identity suite", _cmd_verify)
 
-    p = add("compare", "diff the transcribed tables against the derivation")
+    p = add("compare", "diff the transcribed tables against the derivation", _cmd_compare)
     p.add_argument("--format", choices=("json", "markdown", "latex"), default="markdown")
     p.add_argument("--fail-on-mismatch", action="store_true")
     p.add_argument("--roman", action="store_true")
 
-    p = add("analyze", "per-gate non-unitarity profile and completeness verdicts")
+    p = add("analyze", "per-gate non-unitarity profile and completeness verdicts", _cmd_analyze)
     p.add_argument("--channel", type=int, choices=range(9), metavar="I")
     p.add_argument("--format", choices=("json", "markdown"), default="markdown")
     p.add_argument("--roman", action="store_true")
 
-    p = add("simulate", "run the seeded three-party protocol simulation")
+    p = add("simulate", "run the seeded three-party protocol simulation", _cmd_simulate)
     p.add_argument("--channel", type=int, choices=range(9), required=True, metavar="I")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -84,9 +87,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--use-paper-gates", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = add("export", "write the full 81-gate oracle table as JSON")
+    add("export", "write the full 81-gate oracle table as JSON", _cmd_export)
 
-    p = sub.add_parser("import", help="read a gate table and check it against the derivation")
+    p = add("import", "read a gate table and check it against the derivation", _cmd_import)
     p.add_argument("path", metavar="PATH")
 
     return parser
@@ -370,18 +373,6 @@ def _cmd_import(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "derive": _cmd_derive,
-    "verify": _cmd_verify,
-    "compare": _cmd_compare,
-    "analyze": _cmd_analyze,
-    "simulate": _cmd_simulate,
-    "export": _cmd_export,
-    "import": _cmd_import,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -389,7 +380,7 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        code = _HANDLERS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except _UsageError as exc:

@@ -381,7 +381,7 @@ def simulation_pieces(
     trials is one %-format of the row template joined that many times.  A
     float slot gets ``str(x)``, which is `float.__repr__`, what `json`
     writes for a finite float.  Before any piece is made, an unknown `fmt`
-    or `mode`, columns that disagree with each other or with
+    or `mode`, no trials, columns that disagree with each other or with
     ``summary.trials``, and a non-finite probability, fidelity or input
     amplitude, which JSON cannot carry, raise ValueError; `master_seed`
     and `use_paper_gates` take the batch's seed and flag rules.
@@ -398,6 +398,8 @@ def simulation_pieces(
     use_paper_gates = _check_bool("use_paper_gates", use_paper_gates)
     phis, rows, seeds, outcomes, probabilities, applied, fidelities = columns
     trials = summary.trials
+    if trials < 1:
+        raise ValueError("need at least one trial")
     for name, column in zip(("rows", "seeds", "outcomes", "probabilities"), columns[1:5]):
         if len(column) != trials:
             raise ValueError(f"the {name} column holds {len(column)} entries for {trials} trials")

@@ -43,9 +43,10 @@ into a normal by the fast path of numpy's ziggurat (Marsaglia & Tsang),
 whose two 256-entry tables are frozen below.  The rows where some word
 leaves the fast path (about 9%) are redrawn with numpy's own generator,
 because the slow path takes further words and calls libm's ``exp`` and
-``log1p``.  The norm is taken as numpy takes it, through BLAS dot
-products (`analysis.normalized`), so Haar bytes are bound to the BLAS
-build as well as to numpy's ziggurat.
+``log1p``; a batch with no such row builds no generator and so never
+imports ``numpy.random``.  The norm is taken as numpy takes it, through
+BLAS dot products (`analysis.normalized`), so Haar bytes are bound to
+the BLAS build as well as to numpy's ziggurat.
 """
 
 from __future__ import annotations
@@ -369,12 +370,13 @@ def _haar_inputs(state, inc):
     # a draw off the fast path takes more words: redraw the row with numpy,
     # from the generator state its seeding already gave
     slow = np.flatnonzero(~fast)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    picked = [tuple(word[slow] for word in pair) for pair in (state, inc)]
-    for row, seeded in zip(slow.tolist(), _pcg64_states(*picked)):
-        bit_generator.state = seeded
-        rng.standard_normal(out=normals[row])
+    if slow.size:  # only then is numpy.random imported
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        picked = [tuple(word[slow] for word in pair) for pair in (state, inc)]
+        for row, seeded in zip(slow.tolist(), _pcg64_states(*picked)):
+            bit_generator.state = seeded
+            rng.standard_normal(out=normals[row])
     return analysis.normalized(normals[:, 0::2] + 1j * normals[:, 1::2])
 
 

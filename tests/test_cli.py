@@ -396,6 +396,15 @@ def test_usage_errors_exit_1(capsys):
     assert code == EXIT_USAGE
 
 
+def test_every_subparser_carries_its_handler():
+    # `main` calls the handler the parsed subcommand's parser set as a default
+    commands = "basis derive verify compare analyze simulate export import".split()
+    (sub,) = [a for a in cli._build_parser()._actions if a.choices and a.dest == "command"]
+    assert list(sub.choices) == commands
+    for name, parser in sub.choices.items():
+        assert parser.get_default("handler") is getattr(cli, f"_cmd_{name}")
+
+
 def test_export_import_roundtrip(tmp_path, capsys):
     table = tmp_path / "gates.json"
     code, _, _ = run_cli(capsys, ["export", "--out", str(table)])

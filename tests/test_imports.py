@@ -2,13 +2,15 @@
 
 The exact subcommands and a bare package import never load numpy or
 scipy, nor `dataclasses` or the `inspect` it imports; `simulate` loads
-numpy (which imports `inspect`) and `dataclasses`, but never scipy.  Within the package, a
+numpy (which imports `inspect`) and `dataclasses`, but never scipy.  A
+bare package import loads no submodule at all.  Within the package, a
 subcommand loads the transcription (`published`), the text renderers
 (`render`) and the JSON layer (`serialize`) only when its output uses
 them.  Every check runs in a fresh interpreter, because this test process
 has all of them loaded already.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -165,17 +167,50 @@ def test_the_cli_import_loads_the_exact_core():
     assert _run(script, *(f"qutrit_teleport.{m}" for m in core)) == [True] * len(core)
 
 
+def test_a_bare_package_import_loads_no_submodule():
+    # every public name and module loads on first access; the modules the
+    # package root once imported eagerly still resolve as attributes
+    script = (
+        "import json, sys; import qutrit_teleport as q; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('qutrit_teleport.')); "
+        "print(json.dumps([loaded, [getattr(q, m).__name__ for m in sys.argv[1:]]]))"
+    )
+    core = ("exact", "linalg", "basis", "engine", "analysis")
+    assert _run(script, *core) == [[], [f"qutrit_teleport.{m}" for m in core]]
+
+
 def test_simulate_loads_numpy_but_not_scipy():
     argv = ["simulate", "--channel", "0", "--trials", "200", "--haar"]
     assert _probe([argv]) == {"codes": [0], "loaded": ["dataclasses", "inspect", "numpy"]}
 
 
+# each public name of the package root and the module that defines it, in
+# the order of __all__
+_PUBLIC_NAMES = [
+    ("exact", "ExtScalar"),
+    ("exact", "rational"),
+    ("linalg", "Operator3"),
+    ("basis", "ExpansionRow"),
+    ("basis", "entangled_state"),
+    ("basis", "expand_product"),
+    ("engine", "derive_all"),
+    ("engine", "derive_gate"),
+    ("published", "compare_tables"),
+    ("analysis", "GateProfile"),
+    ("analysis", "profile_gate"),
+    ("analysis", "recovery"),
+    ("simulate", "BatchSummary"),
+    ("simulate", "TrialRecord"),
+    ("simulate", "run_batch"),
+    ("simulate", "run_trial"),
+]
+
+
 def test_lazy_package_names_resolve():
-    for name in qutrit_teleport.__all__:
-        getattr(qutrit_teleport, name)
-    for name in ("BatchSummary", "TrialRecord", "run_batch", "run_trial"):
-        assert name in qutrit_teleport.__all__
-        assert getattr(qutrit_teleport, name) is getattr(simulate, name)
+    assert qutrit_teleport.__all__ == [name for _, name in _PUBLIC_NAMES]
+    for module, name in _PUBLIC_NAMES:
+        home = importlib.import_module(f"qutrit_teleport.{module}")
+        assert getattr(qutrit_teleport, name) is getattr(home, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         qutrit_teleport.no_such_name
 

@@ -495,20 +495,29 @@ def test_seeding_a_seed_block_equals_seeding_each_row():
 def test_a_fixed_input_batch_does_not_load_numpy_random():
     # the master's pool is computed on integers rather than taken from
     # numpy's SeedSequence, so a fixed-input batch adds no numpy.random import
-    # (numpy 2 loads it lazily; numpy 1 loads it with numpy itself)
+    # (numpy 2 loads it lazily; numpy 1 loads it with numpy itself); nor
+    # does a Haar batch none of whose rows leaves the ziggurat's fast path,
+    # as the count of rows redrawn by numpy's generator shows
     script = (
-        "import sys, numpy; bare = 'numpy.random' in sys.modules; "
+        "import sys, numpy; loaded = ['numpy.random' in sys.modules]; "
         "from qutrit_teleport import simulate; "
+        "states, redrawn = simulate._pcg64_states, []; "
+        "simulate._pcg64_states = lambda s, i: redrawn.append(len(s[0])) or states(s, i); "
         "simulate.run_batch(8, 50, 2**70 + 11, input_state=(0.6, 0.8j, 0)); "
-        "print(bare, 'numpy.random' in sys.modules)"
+        "loaded.append('numpy.random' in sys.modules); "
+        "simulate.run_batch(0, 3, 11, haar=True); "
+        "loaded.append('numpy.random' in sys.modules); "
+        "print(*loaded, sum(redrawn))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(simulate.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    bare, after_batch = proc.stdout.split()
-    assert after_batch == bare
+    bare, after_fixed, after_haar, slow_rows = proc.stdout.split()
+    assert slow_rows == "0"
+    assert after_fixed == bare
+    assert after_haar == bare
 
 
 def test_negative_master_seed_is_rejected():

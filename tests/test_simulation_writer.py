@@ -13,6 +13,7 @@ reproduce its bytes for every batch, real or synthetic.
 import csv
 import io
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -246,6 +247,16 @@ def test_writer_arguments_take_the_package_rules(change, outcome):
     else:
         with pytest.raises(outcome):
             serialize.simulation_pieces(summary, columns, **{**args, **change})
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_zero_trials_are_refused_before_any_piece(fmt):
+    """Both formats refuse a summary of no trials, as the batch does: its
+    JSON trial log would not be the canonical ``[]``."""
+    summary, columns = simulate.run_batch_columns(0, 5, 3, haar=True)
+    empty = tuple(column[:0] for column in columns)
+    with pytest.raises(ValueError, match="need at least one trial"):
+        serialize.simulation_pieces(replace(summary, trials=0), empty, 3, "haar", False, fmt)
 
 
 @pytest.mark.parametrize("short", [1, 2, 3, 4], ids=["rows", "seeds", "outcomes", "probabilities"])
