@@ -37,3 +37,7 @@ def __getattr__(name):
     if name in _HOME:
         return getattr(import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_PUBLIC})

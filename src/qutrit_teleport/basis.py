@@ -13,11 +13,11 @@ computational product state |a2>|b> in the entangled basis by exact
 projection, never by transcribing the printed identities (those
 transcriptions live in `published` and are diffed against these rows).
 
-`_check_index` is the package's one index rule, and `_check_bool` its
-one flag rule.  Every index-keyed cache is ``lru_cache(typed=True)`` and
-checks on a miss: ``True`` and ``1.0`` hash like ``1``, so an untyped
-cache would hand them the int's entry.  An unhashable index fails in the
-cache's key (``unhashable type``) instead.
+`_check_index` is the package's one index rule (`simulate._check_bool`,
+beside numpy, is its flag rule).  Every index-keyed cache is
+``lru_cache(typed=True)`` and checks on a miss: ``True`` and ``1.0``
+hash like ``1``, so an untyped cache would hand them the int's entry.
+An unhashable index fails in the cache's key (``unhashable type``).
 """
 
 from __future__ import annotations
@@ -66,15 +66,6 @@ def _check_index(name: str, value, size: int | None = 9) -> int:
                 return index
             raise ValueError(f"{name} index {index} out of range 0..{size - 1}")
     raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
-
-
-def _check_bool(name: str, value) -> bool:
-    """A bool or numpy bool as a bool; anything else raises TypeError."""
-    import numpy as np  # only the numeric layer takes a flag
-
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    raise TypeError(f"{name} must be a bool, not {type(value).__name__}")
 
 
 def family_of(index: int) -> str:

@@ -44,7 +44,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterator
 
 from . import analysis
-from .basis import ExpansionRow, _check_bool, entangled_state, family_of, gram_matrix
+from .basis import ExpansionRow, entangled_state, family_of, gram_matrix
 from .exact import ExtScalar, _reduced
 from .linalg import Operator3
 
@@ -390,7 +390,7 @@ def simulation_pieces(
 
     import numpy as np
 
-    from .simulate import _check_non_negative
+    from .simulate import _check_bool, _check_non_negative
 
     if fmt not in ("json", "csv") or mode not in ("fixed", "haar"):
         raise ValueError(f"need format json or csv and mode fixed or haar, not {fmt!r}, {mode!r}")

@@ -6,11 +6,16 @@ the receiver (B), the joint measurement at A1+A2 selects one of nine
 outcomes by the Born rule, the outcome index travels over a classical
 channel, and the receiver applies the recovery map when one exists.  The
 event log records exactly that order, so recovery can never precede the
-classical message.  The gates, the Born rule and the fidelity come from
-the numeric layer of `analysis`, whose float view of a channel holds its
-recoveries as one stack beside a mask of the outcomes that have one;
-this module adds the randomness, the outcome search, the trial record
-and the batch summary.
+classical message.
+
+This is the package's one numpy module, so the float layer lives here.
+`numeric_channel` checks once that a channel's gates (oracle or printed)
+are monomial and caches, read-only, the gates, their effects G^T G as the
+(9, 3) block of diagonals, and their exact `analysis.recovery` (zero at
+singular outcomes) beside a bool mask `invertible`.  `born_weights`,
+`overlap` and `normalized` are the Born rule, the post-measurement
+fidelity and the norm; each takes one state or a stack of states and
+gives every row the bits it gives that row alone.
 
 RNG contract (part of the interface, not an implementation detail): all
 randomness comes from NumPy's PCG64 bit generator.  A batch spawns one
@@ -45,7 +50,7 @@ leaves the fast path (about 9%) are redrawn with numpy's own generator,
 because the slow path takes further words and calls libm's ``exp`` and
 ``log1p``; a batch with no such row builds no generator and so never
 imports ``numpy.random``.  The norm is taken as numpy takes it, through
-BLAS dot products (`analysis.normalized`), so Haar bytes are bound to
+BLAS dot products (`normalized`), so Haar bytes are bound to
 the BLAS build as well as to numpy's ziggurat.
 """
 
@@ -53,12 +58,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import analysis
-from .basis import _check_bool, _check_index
+from . import engine
+from .analysis import recovery
+from .basis import _check_index
 
 # every trial's event log: (event, party) in protocol order
 EVENT_LOG = (
@@ -114,6 +120,171 @@ class BatchSummary:
     chi_square_flagged: bool
 
 
+# -- the float layer: a channel's gates, the Born rule and the overlap --------
+
+_NORM_TOL = 1e-12
+
+
+class NumericChannel(NamedTuple):
+    """Float view of one channel's nine gates, indexed by outcome."""
+
+    gates: np.ndarray  # (9, 3, 3) monomial gate matrices G_k
+    effects: np.ndarray  # (9, 3) diagonals of the Born-rule effects G_k^T G_k
+    recoveries: np.ndarray  # (9, 3, 3) recovery matrices, zero where G_k is singular
+    invertible: np.ndarray  # (9,) bool: G_k has a recovery
+
+
+def gate_matrix(g) -> np.ndarray:
+    """An exact `Operator3` as a float (3, 3) array."""
+    return np.array([[float(g.entry(r, c)) for c in range(3)] for r in range(3)])
+
+
+@lru_cache(maxsize=None, typed=True)
+def numeric_channel(i: int, use_paper_gates: bool, /) -> NumericChannel:
+    """Channel i's oracle gates in floats, or its printed gates.
+
+    Each gate must be monomial (at most one nonzero entry per row and per
+    column), so its effect G^T G is diagonal, one square per entry; a gate
+    that is not raises ValueError naming its channel and outcome.  The
+    checked, positional-only arguments give a channel one cache entry (for
+    an int and a bool), whose read-only arrays every caller shares.
+    """
+    i = _check_index("channel", i)
+    if _check_bool("use_paper_gates", use_paper_gates):
+        from . import published
+
+        exact = [published.paper_gate(i, k) for k in range(9)]
+    else:
+        exact = [engine.derive_gate(i, k) for k in range(9)]
+    gates = np.stack([gate_matrix(g) for g in exact])
+    nonzero = gates != 0.0
+    dense = np.flatnonzero(np.maximum(nonzero.sum(axis=1), nonzero.sum(axis=2)).max(axis=1) > 1)
+    if len(dense):
+        raise ValueError(f"channel {i}, outcome {dense[0]}: gate is not monomial")
+    effects = (gates * gates).sum(axis=1)
+    exact_recoveries = [recovery(g) for g in exact]
+    invertible = np.array([rec is not None for rec in exact_recoveries])
+    recoveries = np.stack(
+        [np.zeros((3, 3)) if rec is None else gate_matrix(rec) for rec in exact_recoveries]
+    )
+    channel = NumericChannel(gates, effects, recoveries, invertible)
+    for a in channel:
+        a.flags.writeable = False
+    return channel
+
+
+def as_state(phi: Sequence[complex]) -> np.ndarray:
+    v = np.asarray(phi, dtype=complex)
+    if v.size != 3:
+        raise ValueError(f"input state must hold 3 amplitudes, not {v.size}")
+    v = v.reshape(3)
+    norm = float(np.vdot(v, v).real)
+    # written so that a NaN norm (from a NaN or infinite amplitude) fails too
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise ValueError(f"input state norm {norm} differs from 1 beyond {_NORM_TOL}")
+    return v
+
+
+@lru_cache(maxsize=256)
+def _born_plan(data: bytes):
+    """Per amplitude i, the distinct values of column i of the effect diagonals
+    `data` (float64 bytes) as a read-only column, and each effect's index."""
+    plan = []
+    for column in np.frombuffer(data).reshape(-1, 3).T:
+        values, index = np.unique(column, return_inverse=True)
+        values.flags.writeable = index.flags.writeable = False  # shared by the cache
+        plan.append((values[:, np.newaxis], index))
+    return tuple(plan)
+
+
+def born_weights(effects: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Born weights <v|E_k|v> of effects given as their (count, 3) diagonals.
+
+    `v` is one state (3,) or a stack (n, 3); a stack gives (n, count)
+    weights, each row equal bit for bit to the call on that row.  With
+    v = a + ib, a weight is ``(t_0 + t_1) + t_2`` for
+    ``t_i = (a_i * E_ii) * a_i + (b_i * E_ii) * b_i``; a diagonal of G^T G
+    is nonnegative, so no term is below +0 and no weight needs a clip.
+    The sums fill an outcome-major (count, n) block, one row per effect,
+    and a term that several effects share is computed once.
+    """
+    effects = np.ascontiguousarray(effects, dtype=np.float64)
+    if effects.ndim != 2 or effects.shape[1] != 3:
+        raise ValueError(f"effects must be (count, 3) diagonals, not shape {effects.shape}")
+    plan = _born_plan(effects.tobytes())
+    # one state is a stack of one, so every array below has a trial axis
+    state = v.reshape((-1, 3)).T
+    a, b = state.real, state.imag
+    for i, (e, index) in enumerate(plan):
+        term = a[i] * e
+        term *= a[i]
+        imag = b[i] * e
+        imag *= b[i]
+        term += imag
+        if i == 0:
+            block = term[index]
+        else:
+            block += term[index]
+    return block.T.reshape(v.shape[:-1] + (len(effects),))
+
+
+def normalized(v: np.ndarray) -> np.ndarray:
+    """``v / np.linalg.norm(v)`` for one state (3,), and row by row for a
+    stack (n, 3), bit for bit.
+
+    np.linalg.norm takes a complex vector's squared norm as two BLAS dot
+    products, re·re + im·im.  A stacked matmul of a row by a column hands
+    each row to that same dot; a summed reduction would round differently.
+    """
+    re, im = v.real[..., np.newaxis, :], v.imag[..., np.newaxis, :]
+    squared = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return v / np.sqrt(squared[..., 0])
+
+
+def overlap(v: np.ndarray, gate: np.ndarray, rec: Optional[np.ndarray]) -> np.ndarray:
+    """|<v|w>|^2 for w = G v normalized, then mapped back by `rec` if one is given.
+
+    `v` is one state (3,) with (3, 3) matrices, or a stack (n, 3) with
+    (n, 3, 3) stacks; a stack gives n fidelities, each equal bit for bit to
+    the call on that row.  The products are stacked matmuls, and |<v|w>|^2
+    is libm's ``hypot`` then ``pow``, as ``abs(z) ** 2`` computes it on a
+    scalar: numpy's ``abs`` and ``** 2`` on arrays take SIMD paths that
+    round differently.
+    """
+    w = normalized((gate @ v[..., np.newaxis])[..., 0])
+    if rec is not None:
+        w = normalized((rec @ w[..., np.newaxis])[..., 0])
+    z = (v.conj()[..., np.newaxis, :] @ w[..., np.newaxis])[..., 0, 0]
+    return np.float_power(np.hypot(z.real, z.imag), 2)
+
+
+def outcome_distribution(i: int, phi: Sequence[complex]) -> np.ndarray:
+    """Born probabilities over the nine outcomes for a normalized state."""
+    effects = numeric_channel(_check_index("channel", i), False).effects
+    return born_weights(effects, as_state(phi))
+
+
+def outcome_probability(i: int, k: int, phi: Sequence[complex]) -> float:
+    k = _check_index("outcome", k)
+    return float(outcome_distribution(i, phi)[k])
+
+
+def fidelity_after_recovery(i: int, k: int, phi: Sequence[complex]) -> Optional[float]:
+    """|<phi|recovered>|^2 for channel i, outcome k; None when no recovery.
+
+    Raises ValueError when the outcome has zero probability for this input
+    (the conditional state is undefined there).
+    """
+    i, k = _check_index("channel", i), _check_index("outcome", k)
+    v = as_state(phi)
+    gates, effects, recoveries, invertible = numeric_channel(i, False)
+    if born_weights(effects, v)[k] <= 1e-15:
+        raise ValueError(f"outcome {k} has zero probability for this input state")
+    if not invertible[k]:
+        return None
+    return float(overlap(v, gates[k], recoveries[k]))
+
+
 def run_trial(
     channel: int,
     input_state: Sequence[complex],
@@ -123,11 +294,11 @@ def run_trial(
     """One protocol round.  Deterministic in (channel, input_state, seed)."""
     channel = _check_index("channel", channel)
     seed = _check_non_negative("seed", seed)
-    phi = analysis.as_state(input_state)
+    phi = as_state(input_state)
     use_paper_gates = _check_bool("use_paper_gates", use_paper_gates)  # np.True_ keys as True
-    gates, effects, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
+    gates, effects, recoveries, invertible = numeric_channel(channel, use_paper_gates)
 
-    weights = analysis.born_weights(effects, phi)
+    weights = born_weights(effects, phi)
     total = float(weights.sum())
     # Oracle gates satisfy the completeness relation, so total is 1 up to
     # rounding; printed gates may violate it, hence the explicit division.
@@ -144,7 +315,7 @@ def run_trial(
     recovery_applied = bool(invertible[outcome])
     fidelity = None
     if recovery_applied:
-        fidelity = float(analysis.overlap(phi, gates[outcome], recoveries[outcome]))
+        fidelity = float(overlap(phi, gates[outcome], recoveries[outcome]))
 
     return TrialRecord(
         channel=channel,
@@ -272,6 +443,13 @@ def _check_non_negative(name, value):
     return value
 
 
+def _check_bool(name, value):
+    """A bool or numpy bool as a bool; anything else raises TypeError."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise TypeError(f"{name} must be a bool, not {type(value).__name__}")
+
+
 def trial_seeds(master_seed: int, n: int) -> np.ndarray:
     """The per-trial seeds as a (2, n) uint64 block whose rows are the
     state_seeds and trial_seeds columns: column t holds the two words of
@@ -377,7 +555,7 @@ def _haar_inputs(state, inc):
         for row, seeded in zip(slow.tolist(), _pcg64_states(*picked)):
             bit_generator.state = seeded
             rng.standard_normal(out=normals[row])
-    return analysis.normalized(normals[:, 0::2] + 1j * normals[:, 1::2])
+    return normalized(normals[:, 0::2] + 1j * normals[:, 1::2])
 
 
 def run_batch(
@@ -433,10 +611,10 @@ def run_batch_columns(
     haar = _check_bool("haar", haar)
     if haar == (input_state is not None):
         raise ValueError("choose exactly one of a fixed input state or haar mode")
-    fixed_phi = None if haar else analysis.as_state(input_state)
+    fixed_phi = None if haar else as_state(input_state)
     channel = _check_index("channel", channel)
     use_paper_gates = _check_bool("use_paper_gates", use_paper_gates)  # np.True_ keys as True
-    gates, effects, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
+    gates, effects, recoveries, invertible = numeric_channel(channel, use_paper_gates)
 
     seeds = trial_seeds(master_seed, trials)
     seed_column = seeds[1]
@@ -454,7 +632,7 @@ def run_batch_columns(
     u = (_raw_words(*trial_state, 1)[0] >> 11) * _DOUBLE_UNIT
 
     # the outcome-major block: row k holds outcome k's weight of every input
-    weights = analysis.born_weights(effects, phis).T
+    weights = born_weights(effects, phis).T
     probs = weights / _total(weights)
     # searchsorted(cumsum, u, side="right") trial by trial, capped at 8
     outcomes = np.minimum(np.count_nonzero(np.cumsum(probs, axis=0) <= u, axis=0), 8)
@@ -469,7 +647,7 @@ def run_batch_columns(
     applied = np.flatnonzero(invertible[outcomes])
     k = outcomes[applied]
     if haar:
-        fidelities = analysis.overlap(phis[applied], gates[k], recoveries[k])
+        fidelities = overlap(phis[applied], gates[k], recoveries[k])
         # Averaging the Born rule over the uniform state distribution
         # replaces |phi><phi| with I/3.
         drawn_from = effects.sum(axis=1) / 3.0
@@ -477,7 +655,7 @@ def run_batch_columns(
         # one overlap per outcome that occurred, so none of zero mass
         occurred = np.flatnonzero(np.bincount(k, minlength=9))
         per_outcome = np.zeros(9)
-        per_outcome[occurred] = analysis.overlap(
+        per_outcome[occurred] = overlap(
             phis[np.zeros(len(occurred), dtype=np.intp)], gates[occurred], recoveries[occurred]
         )
         fidelities = per_outcome[k]

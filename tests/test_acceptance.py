@@ -167,7 +167,7 @@ def test_criterion_7_simulation_soundness():
         phi = raw[0::2] + 1j * raw[1::2]
         phi = phi / np.linalg.norm(phi)
         i = rng.randrange(9)
-        prob_ok = prob_ok and abs(analysis.outcome_distribution(i, phi).sum() - 1.0) < 1e-12
+        prob_ok = prob_ok and abs(simulate.outcome_distribution(i, phi).sum() - 1.0) < 1e-12
 
     fid_ok = True
     for i, k in ((0, 0), (0, 8), (8, 0), (8, 8)):
@@ -175,7 +175,7 @@ def test_criterion_7_simulation_soundness():
             raw = np.array([rng.gauss(0, 1) for _ in range(6)])
             phi = raw[0::2] + 1j * raw[1::2]
             phi = phi / np.linalg.norm(phi)
-            fid = analysis.fidelity_after_recovery(i, k, phi)
+            fid = simulate.fidelity_after_recovery(i, k, phi)
             fid_ok = fid_ok and abs(fid - 1.0) < 1e-12
 
     elapsed = time.perf_counter() - start

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qutrit_teleport import analysis, engine, published
+from qutrit_teleport import analysis, engine, published, simulate
 from qutrit_teleport.basis import entangled_state
 from qutrit_teleport.analysis import (
     CLASS_INVERTIBLE,
@@ -14,15 +14,19 @@ from qutrit_teleport.analysis import (
     CLASS_SINGULAR,
     channel_census,
     completeness,
-    fidelity_after_recovery,
-    outcome_distribution,
-    outcome_probability,
     profile_gate,
     recovery,
 )
 from qutrit_teleport.exact import ExtScalar, rational
 from qutrit_teleport.linalg import Operator3
-from qutrit_teleport.simulate import run_batch, run_batch_columns, run_trial
+from qutrit_teleport.simulate import (
+    fidelity_after_recovery,
+    outcome_distribution,
+    outcome_probability,
+    run_batch,
+    run_batch_columns,
+    run_trial,
+)
 
 
 def random_state(rng):
@@ -175,7 +179,7 @@ def test_numeric_channel_is_the_float_view_of_the_exact_gates(use_paper_gates):
     # the recoveries are one stack, zero at singular outcomes, beside the
     # mask of the outcomes that have one
     for i in range(9):
-        channel = analysis.numeric_channel(i, use_paper_gates)
+        channel = simulate.numeric_channel(i, use_paper_gates)
         gates, effects, recoveries, invertible = channel
         assert gates.shape == recoveries.shape == (9, 3, 3)
         assert effects.shape == (9, 3)
@@ -187,53 +191,53 @@ def test_numeric_channel_is_the_float_view_of_the_exact_gates(use_paper_gates):
                 if use_paper_gates
                 else engine.derive_gate(i, k)
             )
-            assert np.array_equal(gates[k], analysis.gate_matrix(exact))
+            assert np.array_equal(gates[k], simulate.gate_matrix(exact))
             assert np.allclose(np.diag(effects[k]), gates[k].T @ gates[k], atol=1e-15)
             rec = recovery(exact)
             assert invertible[k] == (rec is not None)
             if rec is None:
                 assert not recoveries[k].any()
             else:
-                assert np.array_equal(recoveries[k], analysis.gate_matrix(rec))
+                assert np.array_equal(recoveries[k], simulate.gate_matrix(rec))
 
 
 def test_numeric_channel_has_one_cache_entry_per_channel():
     # positional-only arguments: a keyword spelling would be a second
     # cache key for the same channel
     with pytest.raises(TypeError):
-        analysis.numeric_channel(0, use_paper_gates=False)
+        simulate.numeric_channel(0, use_paper_gates=False)
     with pytest.raises(TypeError):
-        analysis.numeric_channel(i=0, use_paper_gates=False)
-    analysis.numeric_channel.cache_clear()
+        simulate.numeric_channel(i=0, use_paper_gates=False)
+    simulate.numeric_channel.cache_clear()
     run_trial(5, (0.6, 0.48j, 0.64), 3)
     run_batch(5, 20, 3, input_state=(0.6, 0.48j, 0.64))
     run_batch(5, 20, 3, haar=True)
     analysis.expected_fidelities(5, (1, 0, 0))
     fidelity_after_recovery(5, 0, (0.6, 0.48j, 0.64))
-    info = analysis.numeric_channel.cache_info()
+    info = simulate.numeric_channel.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
 
 
 def test_numeric_channel_checks_its_flag_by_name():
     # 1 hashes like True, so an unchecked flag would build a second entry
     with pytest.raises(TypeError) as raised:
-        analysis.numeric_channel(0, 1)
+        simulate.numeric_channel(0, 1)
     assert str(raised.value) == "use_paper_gates must be a bool, not int"
     with pytest.raises(TypeError, match="use_paper_gates must be a bool, not str"):
-        analysis.numeric_channel(0, "no")
-    for a, b in zip(analysis.numeric_channel(0, np.True_), analysis.numeric_channel(0, True)):
+        simulate.numeric_channel(0, "no")
+    for a, b in zip(simulate.numeric_channel(0, np.True_), simulate.numeric_channel(0, True)):
         assert np.array_equal(a, b)
 
 
 def test_a_numpy_bool_flag_shares_the_channel_cache_entry():
     # the cache is typed, so np.True_ reaching numeric_channel unchecked
     # would key a second build of the same channel
-    analysis.numeric_channel.cache_clear()
+    simulate.numeric_channel.cache_clear()
     run_batch(0, 10, 1, haar=True, use_paper_gates=True)
     run_batch(0, 10, 1, haar=np.True_, use_paper_gates=np.True_)
     run_batch_columns(0, 10, 1, haar=True, use_paper_gates=np.True_)
     run_trial(0, (1, 0, 0), 3, np.True_)
-    assert analysis.numeric_channel.cache_info().currsize == 1
+    assert simulate.numeric_channel.cache_info().currsize == 1
 
 
 def _is_monomial(g):
@@ -250,14 +254,14 @@ def test_every_gate_is_monomial():
     assert len(gates) == 162 and all(map(_is_monomial, gates))
     for i in range(9):
         for use_paper_gates in (False, True):
-            analysis.numeric_channel(i, use_paper_gates)
+            simulate.numeric_channel(i, use_paper_gates)
 
 
 @pytest.fixture
 def fresh_numeric_channels():
-    analysis.numeric_channel.cache_clear()
+    simulate.numeric_channel.cache_clear()
     yield
-    analysis.numeric_channel.cache_clear()
+    simulate.numeric_channel.cache_clear()
 
 
 def test_a_dense_gate_is_refused_by_its_channel_and_outcome(monkeypatch, fresh_numeric_channels):
@@ -272,9 +276,9 @@ def test_a_dense_gate_is_refused_by_its_channel_and_outcome(monkeypatch, fresh_n
     monkeypatch.setattr(engine, "derive_gate", doctored)
     assert not _is_monomial(dense)
     with pytest.raises(ValueError) as raised:
-        analysis.numeric_channel(4, False)
+        simulate.numeric_channel(4, False)
     assert str(raised.value) == "channel 4, outcome 6: gate is not monomial"
-    analysis.numeric_channel(3, False)  # the other channels still build
+    simulate.numeric_channel(3, False)  # the other channels still build
 
 
 @pytest.mark.parametrize("use_paper_gates", [False, True], ids=["oracle", "printed"])
@@ -282,7 +286,7 @@ def test_effect_diagonals_equal_the_einsum_effects(use_paper_gates):
     # the (9, 3) diagonals against the (9, 3, 3) einsum stack the package
     # stored before, bit for bit, and their row sums against its trace
     for i in range(9):
-        gates, effects, _, _ = analysis.numeric_channel(i, use_paper_gates)
+        gates, effects, _, _ = simulate.numeric_channel(i, use_paper_gates)
         stack = effects_einsum(gates)
         off_diagonal = stack[:, ~np.eye(3, dtype=bool)]
         assert not off_diagonal.any()
@@ -330,20 +334,20 @@ def test_fidelity_zero_probability_outcome_rejected():
 
 def test_fidelity_is_the_shared_overlap_with_recovery():
     phi = (0.6, 0.48j, 0.64)
-    v = analysis.as_state(phi)
+    v = simulate.as_state(phi)
     for i in range(9):
-        gates, effects, recoveries, invertible = analysis.numeric_channel(i, False)
-        for k in np.flatnonzero(analysis.born_weights(effects, v) > 1e-15):
+        gates, effects, recoveries, invertible = simulate.numeric_channel(i, False)
+        for k in np.flatnonzero(simulate.born_weights(effects, v) > 1e-15):
             expected = None
             if invertible[k]:
-                expected = analysis.overlap(v, gates[k], recoveries[k])
+                expected = simulate.overlap(v, gates[k], recoveries[k])
             assert fidelity_after_recovery(i, int(k), phi) == expected
 
 
 def test_fidelity_validates_its_state_once(monkeypatch):
     calls = []
-    as_state = analysis.as_state
-    monkeypatch.setattr(analysis, "as_state", lambda phi: calls.append(phi) or as_state(phi))
+    as_state = simulate.as_state
+    monkeypatch.setattr(simulate, "as_state", lambda phi: calls.append(phi) or as_state(phi))
     fidelity_after_recovery(0, 0, (1, 0, 0))
     assert len(calls) == 1
 
@@ -448,11 +452,11 @@ def test_stacked_born_weights_equal_the_per_row_call(use_paper_gates):
     kets = np.eye(3, dtype=complex)
     stack = np.array([*kets, *(random_state(rng) for _ in range(400))])
     for channel in range(9):
-        effects = analysis.numeric_channel(channel, use_paper_gates).effects
-        weights = analysis.born_weights(effects, stack)
+        effects = simulate.numeric_channel(channel, use_paper_gates).effects
+        weights = simulate.born_weights(effects, stack)
         assert weights.shape == (len(stack), 9)
         for row, v in zip(weights, stack):
-            assert np.array_equal(row, analysis.born_weights(effects, v))
+            assert np.array_equal(row, simulate.born_weights(effects, v))
 
 
 # -- born_weights against two oracles -------------------------------------------
@@ -504,11 +508,11 @@ def test_born_weights_follow_the_written_order_on_random_diagonals(sparse):
     stack = rng.standard_normal((10_000, 3)) + 1j * rng.standard_normal((10_000, 3))
     stack[:3] = np.eye(3)
     assert np.array_equal(
-        _bits(analysis.born_weights(effects, stack)), _bits(born_weights_written(effects, stack))
+        _bits(simulate.born_weights(effects, stack)), _bits(born_weights_written(effects, stack))
     )
     for v in stack[:50]:
         assert np.array_equal(
-            _bits(analysis.born_weights(effects, v)), _bits(born_weights_written(effects, v))
+            _bits(simulate.born_weights(effects, v)), _bits(born_weights_written(effects, v))
         )
 
 
@@ -526,20 +530,20 @@ def test_born_weights_share_repeated_terms_and_keep_an_empty_outcome():
     effects[4] = 0.0
     stack = rng.standard_normal((3000, 3)) + 1j * rng.standard_normal((3000, 3))
     stack[:3] = np.eye(3)
-    weights = analysis.born_weights(effects, stack)
+    weights = simulate.born_weights(effects, stack)
     assert weights.shape == (len(stack), 9)
     assert np.array_equal(_bits(weights), _bits(born_weights_written(effects, stack)))
     assert np.array_equal(_bits(weights[:, 4]), np.zeros(len(stack), dtype=np.uint64))
     for v in stack[:50]:
         assert np.array_equal(
-            _bits(analysis.born_weights(effects, v)), _bits(born_weights_written(effects, v))
+            _bits(simulate.born_weights(effects, v)), _bits(born_weights_written(effects, v))
         )
 
 
 @pytest.mark.parametrize("shape", [(9, 3, 3), (9,), (9, 4), (3, 9)])
 def test_born_weights_refuse_effects_that_are_not_diagonals(shape):
     with pytest.raises(ValueError) as raised:
-        analysis.born_weights(np.ones(shape), np.array([1, 0, 0], dtype=complex))
+        simulate.born_weights(np.ones(shape), np.array([1, 0, 0], dtype=complex))
     assert str(raised.value) == f"effects must be (count, 3) diagonals, not shape {shape}"
 
 
@@ -550,11 +554,11 @@ def test_born_weights_equal_einsum_on_the_package_effects(use_paper_gates):
     # plain-float oracle
     rng = np.random.default_rng(23)
     raw = rng.standard_normal((20_000, 6))
-    stack = analysis.normalized(raw[:, 0::2] + 1j * raw[:, 1::2])
+    stack = simulate.normalized(raw[:, 0::2] + 1j * raw[:, 1::2])
     stack = np.concatenate([np.eye(3, dtype=complex), stack])
     for channel in range(9):
-        gates, effects, _, _ = analysis.numeric_channel(channel, use_paper_gates)
-        weights = analysis.born_weights(effects, stack)
+        gates, effects, _, _ = simulate.numeric_channel(channel, use_paper_gates)
+        weights = simulate.born_weights(effects, stack)
         assert np.array_equal(_bits(weights), _bits(born_weights_einsum(gates, stack)))
         assert np.array_equal(
             _bits(weights[:300]), _bits(born_weights_written(effects, stack[:300]))
@@ -564,14 +568,14 @@ def test_born_weights_equal_einsum_on_the_package_effects(use_paper_gates):
 def expected_fidelities_loop(i, phi):
     """`expected_fidelities` as one overlap call per outcome, the loop the
     package ran before it stacked the overlaps."""
-    v = analysis.as_state(phi)
-    gates, effects, recoveries, invertible = analysis.numeric_channel(i, False)
-    p = analysis.born_weights(effects, v)
+    v = simulate.as_state(phi)
+    gates, effects, recoveries, invertible = simulate.numeric_channel(i, False)
+    p = simulate.born_weights(effects, v)
     inv_weight = inv_acc = all_acc = 0.0
     for k in range(9):
         if p[k] <= 1e-15:
             continue
-        fid = analysis.overlap(v, gates[k], recoveries[k] if invertible[k] else None)
+        fid = simulate.overlap(v, gates[k], recoveries[k] if invertible[k] else None)
         all_acc += p[k] * fid
         if invertible[k]:
             inv_weight += p[k]

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 from test_indices import INDEX_ARGUMENTS, case_id, expected_error, with_index
 
-from qutrit_teleport import analysis, engine, serialize
+from qutrit_teleport import engine, serialize, simulate
 from qutrit_teleport.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 _CONTRACT = settings(
@@ -128,7 +128,7 @@ def test_simulate_argv_keeps_the_failure_contract(tmp_path, capsys, data):
 def test_invalid_trial_counts_are_refused_before_any_allocation(capsys, trials, haar):
     # the channel's cached arrays are built first; what is left to trace is
     # parsing, validation and the refusal
-    analysis.numeric_channel(0, False)
+    simulate.numeric_channel(0, False)
     mode = ["--haar"] if haar else ["--state=0.6,0,0,0.8,0,0"]
     main(["simulate", "--channel", "0", "--trials", "1", *mode])
     capsys.readouterr()

@@ -1,8 +1,9 @@
 """Cold-start contract: each process loads only what its subcommand needs.
 
-The exact subcommands and a bare package import never load numpy or
-scipy, nor `dataclasses` or the `inspect` it imports; `simulate` loads
-numpy (which imports `inspect`) and `dataclasses`, but never scipy.  A
+The exact subcommands, a bare package import and an import of any module
+but `simulate` never load numpy or scipy, nor `dataclasses` or the
+`inspect` it imports; `simulate`, the one numpy module, loads numpy
+(which imports `inspect`) and `dataclasses`, but never scipy.  A
 bare package import loads no submodule at all.  Within the package, a
 subcommand loads the transcription (`published`), the text renderers
 (`render`) and the JSON layer (`serialize`) only when its output uses
@@ -55,10 +56,29 @@ def _probe(commands, statement="pass"):
 
 
 @pytest.mark.parametrize(
-    "statement", ["import qutrit_teleport", "import qutrit_teleport.cli"]
+    "statement",
+    [
+        "import qutrit_teleport",
+        "import qutrit_teleport.cli",
+        "import qutrit_teleport.analysis",
+        "import qutrit_teleport.basis",
+        "import qutrit_teleport.render",
+        "import qutrit_teleport.serialize",
+        "import qutrit_teleport.published",
+    ],
 )
 def test_package_import_loads_no_numpy_scipy_or_dataclasses(statement):
     assert _probe([], statement) == {"codes": [], "loaded": []}
+
+
+def test_expected_fidelities_load_simulate_and_numpy_only_when_called():
+    script = (
+        "import json, sys; from qutrit_teleport import analysis; "
+        "loaded = lambda: [m in sys.modules for m in ('qutrit_teleport.simulate', 'numpy')]; "
+        "before = loaded(); analysis.expected_fidelities(0, (1, 0, 0)); "
+        "print(json.dumps([before, loaded()]))"
+    )
+    assert _run(script) == [[False, False], [True, True]]
 
 
 @pytest.mark.parametrize(
@@ -213,6 +233,18 @@ def test_lazy_package_names_resolve():
         assert getattr(qutrit_teleport, name) is getattr(home, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         qutrit_teleport.no_such_name
+
+
+def test_dir_lists_the_public_names_and_modules_before_any_is_loaded():
+    script = (
+        "import json, sys; import qutrit_teleport as q; names = dir(q); "
+        "loaded = sorted(m for m in sys.modules if m.startswith('qutrit_teleport.')); "
+        "print(json.dumps([names, loaded]))"
+    )
+    names, loaded = _run(script)
+    assert names == sorted(names) and loaded == []
+    expected = {*qutrit_teleport.__all__, *qutrit_teleport._PUBLIC, "__version__"}
+    assert expected <= set(names)
 
 
 def test_chi_square_table_matches_scipy_bit_for_bit():

@@ -19,16 +19,19 @@ from qutrit_teleport.analysis import (
     channel_profiles,
     completeness,
     expected_fidelities,
-    fidelity_after_recovery,
-    numeric_channel,
-    outcome_distribution,
-    outcome_probability,
 )
 from qutrit_teleport.basis import entangled_state, expand_product, family_of
 from qutrit_teleport.engine import delta_qt, derive_gate, reconstruction_residual
 from qutrit_teleport.published import paper_expansion, paper_gate, paper_premeasure
 from qutrit_teleport.render import channel_name
-from qutrit_teleport.simulate import run_batch, run_trial
+from qutrit_teleport.simulate import (
+    fidelity_after_recovery,
+    numeric_channel,
+    outcome_distribution,
+    outcome_probability,
+    run_batch,
+    run_trial,
+)
 
 # every amplitude nonzero, so every outcome of every channel has mass
 _PHI = (1 / 3, 2j / 3, 2 / 3)

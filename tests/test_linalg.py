@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qutrit_teleport import engine
-from qutrit_teleport.analysis import gate_matrix
 from qutrit_teleport.basis import entangled_state
 from qutrit_teleport.exact import INV_SQRT6, ONE, ZERO, ExtScalar, _dot, rational
 from qutrit_teleport.linalg import Operator3
 from test_exact import _FractionScalar
 from qutrit_teleport.published import paper_gate, paper_premeasure
 from qutrit_teleport.render import premeasure_text
+from qutrit_teleport.simulate import gate_matrix
 
 
 def random_operator(rng):

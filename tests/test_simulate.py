@@ -198,6 +198,35 @@ def test_input_validation():
         run_trial(9, KET0, seed=0)
 
 
+_STATE_TAKERS = {
+    "as_state": simulate.as_state,
+    "run_trial": lambda phi: run_trial(0, phi, 1),
+    "run_batch": lambda phi: run_batch(0, 5, 1, input_state=phi),
+    "expected_fidelities": lambda phi: analysis.expected_fidelities(0, phi),
+}
+
+
+@pytest.mark.parametrize("take", _STATE_TAKERS.values(), ids=list(_STATE_TAKERS))
+@pytest.mark.parametrize("phi, size", [([1, 0], 2), ([1, 0, 0, 0], 4), ([], 0)])
+def test_a_state_of_the_wrong_size_is_refused_by_its_size(take, phi, size):
+    with pytest.raises(ValueError) as raised:
+        take(phi)
+    assert str(raised.value) == f"input state must hold 3 amplitudes, not {size}"
+
+
+def test_no_state_is_refused_as_one_amplitude():
+    # numpy reads None as one NaN; run_batch reads None as haar mode instead
+    with pytest.raises(ValueError, match="^input state must hold 3 amplitudes, not 1$"):
+        simulate.as_state(None)
+
+
+@pytest.mark.parametrize("phi", [[1, 0, 0], (0, 1j, 0), np.array([[0, 0, 1]]), [[1], [0], [0]]])
+def test_every_size_3_state_is_accepted(phi):
+    v = simulate.as_state(phi)
+    assert v.shape == (3,) and v.dtype == complex
+    assert np.array_equal(v, np.ravel(phi))
+
+
 _VALID_ARGUMENTS = {
     run_batch: dict(channel=0, trials=10, master_seed=0, haar=True),
     run_trial: dict(channel=0, input_state=KET0, seed=0),
@@ -312,7 +341,7 @@ def test_uniform_past_the_cumulative_sum_steps_down_to_an_outcome_with_mass(monk
     # rather than replayed
     monkeypatch.setattr(simulate, "_DOUBLE_UNIT", 1.0)
     _, columns = run_batch_columns(3, 50, master_seed=1, input_state=KET0)
-    p = analysis.outcome_distribution(3, KET0)
+    p = simulate.outcome_distribution(3, KET0)
     assert max(k for k in range(9) if p[k] > 0) == 5
     assert set(columns[3].tolist()) == {5}
 
@@ -443,13 +472,13 @@ def test_stacked_overlap_and_norm_equal_the_per_state_oracle(channel, use_paper_
     # 10**4 Haar inputs, each with a uniform outcome, recovered where the
     # outcome has a recovery and scored un-recovered where it has none
     phis = simulate._haar_inputs(*simulate._pcg64_seeded(trial_seeds(channel, 10_000)[0]))
-    gates, _, recoveries, invertible = analysis.numeric_channel(channel, use_paper_gates)
+    gates, _, recoveries, invertible = simulate.numeric_channel(channel, use_paper_gates)
     ks = np.random.default_rng(channel).integers(0, 9, size=len(phis))
     has_rec = invertible[ks]
     got = np.empty(len(phis))
-    got[~has_rec] = analysis.overlap(phis[~has_rec], gates[ks[~has_rec]], None)
+    got[~has_rec] = simulate.overlap(phis[~has_rec], gates[ks[~has_rec]], None)
     k = ks[has_rec]
-    got[has_rec] = analysis.overlap(phis[has_rec], gates[k], recoveries[k])
+    got[has_rec] = simulate.overlap(phis[has_rec], gates[k], recoveries[k])
     expected = np.array(
         [
             overlap(v, gates[k], recoveries[k] if invertible[k] else None)
@@ -464,7 +493,7 @@ def test_stacked_overlap_and_norm_equal_the_per_state_oracle(channel, use_paper_
         v = v[nonzero]
         expected = np.array([row / np.linalg.norm(row) for row in v])
         assert np.array_equal(
-            analysis.normalized(v).view(np.uint64), expected.view(np.uint64)
+            simulate.normalized(v).view(np.uint64), expected.view(np.uint64)
         )
 
 
@@ -575,7 +604,7 @@ def test_batches_call_no_einsum(monkeypatch):
     # einsum has left the simulate path, born_weights included; the cached
     # channels are built first
     for use_paper_gates in (False, True):
-        analysis.numeric_channel(8, use_paper_gates)
+        simulate.numeric_channel(8, use_paper_gates)
 
     def refuse(*args, **kwargs):
         raise AssertionError("einsum called")
