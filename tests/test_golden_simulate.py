@@ -9,8 +9,8 @@ against its row of the batch columns.  Outcomes and recovery flags must
 match exactly; every float must match to 1e-12.  Byte identity of the CLI output is the benchmark's check, since
 the last bits of a float can differ between machines.
 
-Regenerate the file with `python tests/test_golden_simulate.py` only when
-a change of the figures is intended.
+`PYTHONPATH=src python tests/freeze.py` rewrites the file (with the
+other golden stores) only when a change of the figures is intended.
 """
 
 import json
@@ -136,5 +136,6 @@ def _dump(obj) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-if __name__ == "__main__":
+def freeze() -> None:
+    """Rewrite the store from the program as it stands."""
     GOLDEN.write_text(_dump(observe_all()), encoding="utf-8")
