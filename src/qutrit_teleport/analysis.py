@@ -22,7 +22,6 @@ integer shares its channel's one entry.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -55,7 +54,7 @@ def profile_gate(
     frob = gram.trace()
     identity = Operator3.identity()
     dev = gram - identity
-    scaled_dev = gram - identity.scaled(frob * Fraction(1, 3))
+    scaled_dev = gram - identity.scaled(frob / 3)
     rank = g.rank()
     if rank == 3 and scaled_dev.is_zero():
         classification = CLASS_PROP_UNITARY
@@ -97,14 +96,6 @@ def channel_census(i: int) -> dict:
     return counts
 
 
-def _rational_cbrt(f: Fraction) -> Optional[Fraction]:
-    num = _icbrt(f.numerator)
-    den = _icbrt(f.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
 def _icbrt(n: int) -> Optional[int]:
     """Exact integer cube root of n, or None when n is not a perfect cube.
 
@@ -129,10 +120,11 @@ def _field_cbrt(x: ExtScalar) -> Optional[ExtScalar]:
     terms = list(_signed_terms(x, (1, 2, 3, 6)))
     if len(terms) != 1 or terms[0][0] == "-":
         return None
-    _, coeff, surd = terms[0]
-    # (r*sqrt(m))^3 = r^3 * m * sqrt(m): need coeff/m to be a rational cube
-    root = _rational_cbrt(coeff / surd)
-    return None if root is None else ExtScalar(**{f"q{surd}": root})
+    _, p, q, surd = terms[0]
+    # (r*sqrt(m))^3 = r^3 * m * sqrt(m): need p/(q*m) to be a rational cube,
+    # which it is exactly when p*(q*m)^2 is an integer cube, (r*q*m)^3
+    root = _icbrt(p * (q * surd) ** 2)
+    return None if root is None else ExtScalar(**{f"q{surd}": root}) / (q * surd)
 
 
 def recovery(g: Operator3) -> Optional[Operator3]:

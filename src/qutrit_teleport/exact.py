@@ -5,12 +5,17 @@ extension Q(sqrt2, sqrt3) with basis {1, sqrt2, sqrt3, sqrt6}.  An element
 is stored as four int numerators over one int denominator,
 (n1 + n2*sqrt(2) + n3*sqrt(3) + n6*sqrt(6)) / d, in canonical form:
 gcd(n1, n2, n3, n6, d) == 1 and d > 0 (zero is (0, 0, 0, 0, 1)), so
-structural equality is semantic equality.  Its components q1 = n1/d, ...,
-q6 = n6/d read as `fractions.Fraction`s.  A rational element equals, and
-hashes like, the int or Fraction it embeds, so ``ExtScalar(1) == 1``.
+structural equality is semantic equality.  A rational element equals,
+and hashes like, the int or Fraction it embeds, so ``ExtScalar(1) == 1``.
 All operations are pure; instances are immutable and hashable.  This
 module is field arithmetic only: the "p/q" JSON wire form of an element
 lives in `serialize` (`scalar_to_obj`, `scalar_from_obj`).
+
+The package reads a component one way, as the reduced int pair (p, q) of
+`ExtScalar._pairs`.  `fractions.Fraction` stays at the public edge: the
+components q1 = n1/d, ..., q6 = n6/d (which the hash reads when d > 1) are
+`Fraction`s made on access, and the first such read loads `fractions` and
+`decimal`; the constructor, ``*``, ``/`` and ``==`` take one.
 
 The common printed coefficients map to single components, e.g.
 1/sqrt(6) == sqrt(6)/6 is stored as q6 = 1/6, and 1/(2*sqrt(3)) ==
@@ -19,7 +24,6 @@ sqrt(3)/6 as q3 = 1/6.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 _SQRT2_F = 1.4142135623730951
@@ -27,13 +31,20 @@ _SQRT3_F = 1.7320508075688772
 _SQRT6_F = 2.449489742783178
 
 
-def _ratio(x: int | Fraction) -> tuple:
-    """(numerator, denominator) of an int or Fraction."""
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
+def _ratio(x):
+    """(numerator, denominator) of an int or Fraction, else None."""
     if isinstance(x, int):
         return x, 1
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    from fractions import Fraction
+    return (x.numerator, x.denominator) if isinstance(x, Fraction) else None
+
+
+def _component(i: int) -> property:
+    """The property that reads component i as a `fractions.Fraction`."""
+    def read(x):
+        from fractions import Fraction
+        return Fraction(x._n[i], x._n[4])
+    return property(read)
 
 
 def _raw(n: tuple) -> "ExtScalar":
@@ -49,6 +60,14 @@ def _reduced(n1: int, n2: int, n3: int, n6: int, d: int) -> "ExtScalar":
     if g == 1:
         return _raw((n1, n2, n3, n6, d))
     return _raw((n1 // g, n2 // g, n3 // g, n6 // g, d // g))
+
+
+def _scaled(n: tuple, p: int, q: int) -> "ExtScalar":
+    """The element (n1, n2, n3, n6, d) times the rational p/q, q nonzero."""
+    if q < 0:
+        p, q = -p, -q
+    n1, n2, n3, n6, d = n
+    return _reduced(n1 * p, n2 * p, n3 * p, n6 * p, d * q)
 
 
 def _dot(xs, ys) -> "ExtScalar":
@@ -88,6 +107,8 @@ class ExtScalar:
 
     def __init__(self, q1=0, q2=0, q3=0, q6=0) -> None:
         parts = [_ratio(q) for q in (q1, q2, q3, q6)]
+        if None in parts:
+            raise TypeError(f"expected ints or Fractions, got {q1!r}, {q2!r}, {q3!r}, {q6!r}")
         d = lcm(*(den for _, den in parts))
         numerators = (num * (d // den) for num, den in parts)
         object.__setattr__(self, "_n", _reduced(*numerators, d)._n)
@@ -100,25 +121,27 @@ class ExtScalar:
     def __reduce__(self):
         return _raw, (self._n,)
 
-    q1 = property(lambda self: Fraction(self._n[0], self._n[4]))
-    q2 = property(lambda self: Fraction(self._n[1], self._n[4]))
-    q3 = property(lambda self: Fraction(self._n[2], self._n[4]))
-    q6 = property(lambda self: Fraction(self._n[3], self._n[4]))
+    q1, q2, q3, q6 = map(_component, range(4))
 
-    def _fractions(self) -> tuple:
-        return tuple(Fraction(n, self._n[4]) for n in self._n[:4])
+    def _pairs(self) -> tuple:
+        """The four components as (p, q) int pairs in lowest terms, q > 0."""
+        d = self._n[4]
+        return tuple((p // (g := gcd(p, d)), d // g) for p in self._n[:4])
 
     # -- equality --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExtScalar):
             return self._n == other._n
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and _ratio(other) == (self._n[0], self._n[4])
-        return NotImplemented
+        ratio = _ratio(other)
+        if ratio is None:
+            return NotImplemented
+        return self._n == (ratio[0], 0, 0, 0, ratio[1])
 
     def __hash__(self) -> int:
-        return hash(self.q1) if self.is_rational() else hash(self._fractions())
+        # a Fraction of denominator 1 hashes as its int, a tuple by its items' hashes
+        q = self._n[:4] if self._n[4] == 1 else (self.q1, self.q2, self.q3, self.q6)
+        return hash(q[0]) if self.is_rational() else hash(q)
 
     # -- ring operations -------------------------------------------------
 
@@ -142,26 +165,23 @@ class ExtScalar:
         n1, n2, n3, n6, d = self._n
         return _raw((-n1, -n2, -n3, -n6, d))
 
-    def __mul__(self, other: ExtScalar | int | Fraction) -> "ExtScalar":
+    def __mul__(self, other) -> "ExtScalar":
         if isinstance(other, ExtScalar):
             return _dot((self,), (other,))
-        if isinstance(other, (int, Fraction)):
-            p, q = _ratio(other)
-            a1, a2, a3, a6, da = self._n
-            return _reduced(a1 * p, a2 * p, a3 * p, a6 * p, da * q)
-        return NotImplemented
+        ratio = _ratio(other)
+        return NotImplemented if ratio is None else _scaled(self._n, *ratio)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: ExtScalar | int | Fraction) -> "ExtScalar":
-        if isinstance(other, (int, Fraction)):
-            p, q = _ratio(other)
-            if p == 0:
-                raise ZeroDivisionError("division by zero rational")
-            return self * Fraction(q, p)
-        if not isinstance(other, ExtScalar):
+    def __truediv__(self, other) -> "ExtScalar":
+        if isinstance(other, ExtScalar):
+            return self * other.inverse()
+        ratio = _ratio(other)
+        if ratio is None:
             return NotImplemented
-        return self * other.inverse()
+        if ratio[0] == 0:
+            raise ZeroDivisionError("division by zero rational")
+        return _scaled(self._n, ratio[1], ratio[0])
 
     def inverse(self) -> "ExtScalar":
         """Exact multiplicative inverse.
@@ -180,7 +200,7 @@ class ExtScalar:
         norm = self * numer
         if not norm.is_rational():
             raise ArithmeticError(f"field norm of {self} is not rational: {norm}")
-        return numer * (1 / norm.q1)
+        return _scaled(numer._n, norm._n[4], norm._n[0])
 
     # -- predicates and conversions ---------------------------------------
 
@@ -197,8 +217,9 @@ class ExtScalar:
 
     def __str__(self) -> str:
         text = ""
-        for sign, mag, surd in _signed_terms(self, ("", "√2", "√3", "√6")):
-            body = surd if surd and mag == 1 else f"{mag}·{surd}" if surd else f"{mag}"
+        for sign, p, q, surd in _signed_terms(self, ("", "√2", "√3", "√6")):
+            mag = f"{p}/{q}" if q > 1 else f"{p}"
+            body = surd if surd and mag == "1" else f"{mag}·{surd}" if surd else mag
             text += f" {sign} {body}"
         if not text:
             return "0"
@@ -209,24 +230,24 @@ class ExtScalar:
 
 
 def _signed_terms(x: ExtScalar, surds: tuple):
-    """(sign, |q|, label) per nonzero component q of `x`, in basis order."""
-    for coeff, surd in zip(x._fractions(), surds):
-        if coeff:
-            yield "-" if coeff < 0 else "+", abs(coeff), surd
+    """(sign, |p|, q, label) per nonzero component p/q of `x`, in basis order."""
+    for (p, q), surd in zip(x._pairs(), surds):
+        if p:
+            yield "-" if p < 0 else "+", abs(p), q, surd
 
 
 def rational(p: int, q: int = 1) -> ExtScalar:
     """The rational p/q as a field element."""
-    return ExtScalar(Fraction(p, q))
+    return ExtScalar(p) / q
 
 
 ZERO = ExtScalar()
-ONE = rational(1)
-SQRT2 = ExtScalar(q2=Fraction(1))
-SQRT3 = ExtScalar(q3=Fraction(1))
-SQRT6 = ExtScalar(q6=Fraction(1))
+ONE = ExtScalar(1)
+SQRT2 = ExtScalar(q2=1)
+SQRT3 = ExtScalar(q3=1)
+SQRT6 = ExtScalar(q6=1)
 
 # Reciprocal surds, pre-rationalized: 1/sqrt(n) = sqrt(n)/n.
-INV_SQRT2 = ExtScalar(q2=Fraction(1, 2))
-INV_SQRT3 = ExtScalar(q3=Fraction(1, 3))
-INV_SQRT6 = ExtScalar(q6=Fraction(1, 6))
+INV_SQRT2 = SQRT2 / 2
+INV_SQRT3 = SQRT3 / 3
+INV_SQRT6 = SQRT6 / 6

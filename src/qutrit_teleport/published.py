@@ -31,7 +31,6 @@ Transcription conventions, applied uniformly and recorded in entry notes:
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -42,6 +41,8 @@ from .exact import (
     INV_SQRT3,
     INV_SQRT6,
     SQRT2,
+    SQRT3,
+    SQRT6,
     ExtScalar,
     ONE,
     rational,
@@ -74,8 +75,8 @@ DISCREPANCY_CLASSES = (
 _THIRD = rational(1, 3)
 _HALF = rational(1, 2)
 _SIXTH = rational(1, 6)
-_INV_2SQRT3 = ExtScalar(q3=Fraction(1, 6))  # 1/(2*sqrt3) = sqrt3/6
-_INV_3SQRT2 = ExtScalar(q2=Fraction(1, 6))  # 1/(3*sqrt2) = sqrt2/6
+_INV_2SQRT3 = SQRT3 / 6  # 1/(2*sqrt3) = sqrt3/6
+_INV_3SQRT2 = SQRT2 / 6  # 1/(3*sqrt2) = sqrt2/6
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ _GATE_SRC = {
 # prefactor is already folded in.
 # ---------------------------------------------------------------------------
 
-_SQRT_3_OVER_2 = ExtScalar(q6=Fraction(1, 2))  # sqrt(3/2) = sqrt6/2
+_SQRT_3_OVER_2 = SQRT6 / 2  # sqrt(3/2) = sqrt6/2
 
 _EXPANSION_SRC = {
     (0, 0): ("Eq. (4a)", INV_SQRT3, ((0, ONE), (8, -SQRT2))),

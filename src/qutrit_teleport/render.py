@@ -41,11 +41,11 @@ def _sum(terms, sep: str = " + ") -> str:
 
 def scalar_latex(x: ExtScalar) -> str:
     parts = []
-    for sign, mag, surd in _signed_terms(x, ("", "\\sqrt{2}", "\\sqrt{3}", "\\sqrt{6}")):
-        if mag.denominator > 1:
-            body = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
+    for sign, p, q, surd in _signed_terms(x, ("", "\\sqrt{2}", "\\sqrt{3}", "\\sqrt{6}")):
+        if q > 1:
+            body = f"\\tfrac{{{p}}}{{{q}}}"
         else:
-            body = "" if surd and mag == 1 else str(mag)
+            body = "" if surd and p == 1 else str(p)
         parts.append(f"{sign}{body}{surd}")
     return _sum(parts, "").removeprefix("+")
 

@@ -17,12 +17,12 @@ Every document goes through the one writer, `dumps_canonical`: the text
 of `json` with sorted keys and a two-space indent, written in one pass
 of its own.  The functions that make a document leave each `ExtScalar`
 in it as it is, and the writer writes its four-key object, rendered once
-per distinct value and indent; `_ratios` spells its "p/q" strings, and
-those of `scalar_to_obj`.  `scalar_from_obj` reads the four literals as
-integers and reduces them once, with no `Fraction`.  The test suite
-checks both against the `Fraction` forms they replaced.  The errata
-report's `published` names are imported inside `errata_dumps`, so a
-process that writes no errata report never loads the transcription.
+per distinct value and indent, from the "p/q" strings of `scalar_to_obj`,
+which spells them from `ExtScalar._pairs`.  `scalar_from_obj` reads the
+four literals as integers and reduces them once, with no `Fraction`.  The
+test suite checks both against the `Fraction` forms they replaced.  The
+errata report's `published` names are imported inside `errata_dumps`, so
+a process that writes no errata report never loads the transcription.
 
 `simulate`'s output, JSON or CSV, is written by `simulation_pieces`
 straight from the batch columns: both formats are a head, a separator, a
@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring
-from math import gcd, lcm
+from math import lcm
 from typing import TYPE_CHECKING, Iterator
 
 from . import analysis
@@ -83,7 +83,7 @@ def _write(obj, pad: str, out: list, scalars: dict) -> None:
     if isinstance(obj, ExtScalar):
         key = obj._n, pad
         if key not in scalars:
-            fields = zip(_SCALAR_KEYS, _ratios(obj._n))
+            fields = scalar_to_obj(obj).items()
             scalars[key] = "{" + ",".join(f'{pad}  "{k}": "{r}"' for k, r in fields) + pad + "}"
         out.append(scalars[key])
     elif isinstance(obj, str):
@@ -141,20 +141,9 @@ _SCALAR_KEYS = ("q1", "q2", "q3", "q6")
 _RATIONAL_RE = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
 
 
-def _ratios(n: tuple) -> tuple:
-    """The four components of the element (n1, n2, n3, n6, d) as "p/q"
-    strings in lowest terms, with q > 0 and zero as "0/1"."""
-    d = n[4]
-    out = []
-    for p in n[:4]:
-        g = gcd(p, d)
-        out.append(f"{p // g}/{d // g}")
-    return tuple(out)
-
-
 def scalar_to_obj(x: ExtScalar) -> dict:
     """The canonical scalar object: four "p/q" strings, one per component."""
-    return dict(zip(_SCALAR_KEYS, _ratios(x._n)))
+    return {k: f"{p}/{q}" for k, (p, q) in zip(_SCALAR_KEYS, x._pairs())}
 
 
 def scalar_from_obj(obj: dict) -> ExtScalar:

@@ -535,19 +535,16 @@ def _haar_inputs(state, inc):
     """Row t is the Haar input drawn by
     ``Generator(PCG64(seed)).standard_normal(6)``, bit for bit, where row t
     of the (state, inc) columns is `_pcg64_seeded` of that seed."""
-    normals = np.empty((len(state[0]), 6))
-    fast = np.ones(len(state[0]), dtype=bool)
-    for j, word in enumerate(_raw_words(state, inc, 6)):
-        # random_standard_normal's fast path: the low byte picks the layer,
-        # bit 8 is the sign and the next 52 bits the magnitude
-        layer = word & 0xFF
-        rabs = word >> 9 & 0xFFFFFFFFFFFFF
-        x = rabs.astype(np.float64) * _ZIGGURAT_WI[layer]
-        normals[:, j] = np.where(word >> 8 & 1, -x, x)
-        fast &= rabs < _ZIGGURAT_KI[layer]
+    # random_standard_normal's fast path over the (6, n) word block: the low
+    # byte picks the layer, bit 8 is the sign and the next 52 bits the magnitude
+    words = _raw_words(state, inc, 6)
+    layer = words & 0xFF
+    rabs = words >> 9 & 0xFFFFFFFFFFFFF
+    x = rabs.astype(np.float64) * _ZIGGURAT_WI[layer]
+    normals = np.where(words >> 8 & 1, -x, x).T.copy()  # a redraw writes a whole C row
     # a draw off the fast path takes more words: redraw the row with numpy,
     # from the generator state its seeding already gave
-    slow = np.flatnonzero(~fast)
+    slow = np.flatnonzero((rabs >= _ZIGGURAT_KI[layer]).any(axis=0))
     if slow.size:  # only then is numpy.random imported
         bit_generator = np.random.PCG64(0)
         rng = np.random.Generator(bit_generator)

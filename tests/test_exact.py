@@ -6,6 +6,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,7 @@ from qutrit_teleport.exact import (
     SQRT6,
     ZERO,
     ExtScalar,
+    _reduced,
     rational,
 )
 from qutrit_teleport.serialize import scalar_from_obj, scalar_to_obj
@@ -201,6 +203,18 @@ def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+_numerators = st.one_of(st.just(0), st.integers(-36, 36), st.integers(-(2**80), 2**80))
+_denominators = st.one_of(st.integers(1, 36), st.integers(1, 2**80))
+
+
+@given(st.tuples(*[_numerators] * 4), _denominators)
+def test_pairs_are_the_reduced_fractions_of_the_components(numerators, d):
+    # the one integer reading of the components, against Fraction's reduction
+    x = _reduced(*numerators, d)
+    fractions = [Fraction(n, d) for n in numerators]
+    assert x._pairs() == tuple((f.numerator, f.denominator) for f in fractions)
+
+
 class _FractionScalar:
     """The four-Fraction arithmetic the integer form replaced, kept as a test oracle."""
 
@@ -333,6 +347,16 @@ def test_constructor_accepts_only_ints_and_fractions():
         with pytest.raises(TypeError):
             ExtScalar(q6=bad)
     assert ExtScalar(2, Fraction(1, 2)) == ExtScalar(Fraction(2), Fraction(2, 4))
+
+
+def test_rational_takes_what_the_constructor_takes():
+    # a numpy integer would be stored as a numerator and wrap on overflow
+    for bad in (np.int64(2), 2.0, "2"):
+        with pytest.raises(TypeError):
+            rational(bad, 3)
+    with pytest.raises(ZeroDivisionError):
+        rational(1, 0)
+    assert rational(-4, -6) == rational(Fraction(2, 3)) == Fraction(2, 3)
 
 
 def test_instances_are_immutable():

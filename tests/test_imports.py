@@ -3,12 +3,15 @@
 The exact subcommands, a bare package import and an import of any module
 but `simulate` never load numpy or scipy, nor `dataclasses` or the
 `inspect` it imports; `simulate`, the one numpy module, loads numpy
-(which imports `inspect`) and `dataclasses`, but never scipy.  A
-bare package import loads no submodule at all.  Within the package, a
-subcommand loads the transcription (`published`), the text renderers
-(`render`) and the JSON layer (`serialize`) only when its output uses
-them.  Every check runs in a fresh interpreter, because this test process
-has all of them loaded already.
+(which imports `inspect`) and `dataclasses`, but never scipy.  No
+command, `--version` and `simulate` included, loads `fractions` or the
+`decimal` it imports: `exact` reads its components as int pairs and
+builds a `Fraction` only when a caller asks for one.  A bare package
+import loads no submodule at all.  Within the package, a subcommand loads
+the transcription (`published`), the text renderers (`render`) and the
+JSON layer (`serialize`) only when its output uses them.  Every check
+runs in a fresh interpreter, because this test process has all of them
+loaded already.
 """
 
 import importlib
@@ -131,8 +134,8 @@ def test_transcription_is_read_only_by_compare(tmp_path):
 
 
 # Runs the cli.main argv lists given as JSON in argv[1] (a --version exit
-# is read as its code), then prints the exit codes and which of the
-# package modules that not every subcommand needs ended up in sys.modules.
+# is read as its code), then prints the exit codes and which of the modules
+# named in argv[2:] ended up in sys.modules.
 _MODULE_PROBE = """
 import contextlib, io, json, sys
 from qutrit_teleport import cli
@@ -143,9 +146,7 @@ with contextlib.redirect_stdout(io.StringIO()):
             codes.append(cli.main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
-optional = ("published", "render", "serialize", "simulate")
-loaded = [m for m in optional if "qutrit_teleport." + m in sys.modules]
-print(json.dumps({"codes": codes, "loaded": loaded}))
+print(json.dumps({"codes": codes, "loaded": [m for m in sys.argv[2:] if m in sys.modules]}))
 """
 _ALL = {"published", "render", "serialize", "simulate"}
 
@@ -173,9 +174,46 @@ _ALL = {"published", "render", "serialize", "simulate"}
 def test_a_subcommand_loads_only_the_modules_its_output_uses(commands, absent, tmp_path):
     table = str(tmp_path / "table.json")
     argvs = [[arg.format(table=table) for arg in argv] for argv in commands]
-    result = _run(_MODULE_PROBE, json.dumps(argvs))
-    assert result["codes"] == [0] * len(argvs)
-    assert absent.isdisjoint(result["loaded"]), result["loaded"]
+    modules = sorted(f"qutrit_teleport.{m}" for m in absent)
+    result = _run(_MODULE_PROBE, json.dumps(argvs), *modules)
+    assert result == {"codes": [0] * len(argvs), "loaded": []}
+
+
+_STATE = "--state=0.6,0,0,0.8,0,0"
+
+
+@pytest.mark.parametrize(
+    "commands",
+    [
+        [["--version"]],
+        [["verify"]],
+        [["analyze", "--format", "json"]],
+        [["compare", "--format", "json"]],
+        [["export", "--out", "{table}"], ["import", "{table}"]],
+        [["basis"]],
+        [["derive", "--channel", "2", "--outcome", "7"]],
+        [["analyze", "--channel", "8"]],
+        [
+            ["basis", "--format", "json"], ["basis", "--format", "latex"],
+            ["derive", "--format", "json"], ["derive", "--format", "latex"],
+            ["compare"], ["compare", "--format", "latex"], ["analyze"],
+        ],
+        [["simulate", "--channel", "8", "--trials", "200", _STATE]],
+        [["simulate", "--channel", "8", "--trials", "200", _STATE, "--use-paper-gates"]],
+        [["simulate", "--channel", "5", "--trials", "200", "--haar"]],
+        [["simulate", "--channel", "5", "--trials", "200", "--haar", "--use-paper-gates"]],
+    ],
+    ids=[
+        "version", "verify", "analyze-json", "compare-json", "export-import", "basis",
+        "derive-one-gate", "analyze-channel", "other-formats", "simulate-fixed",
+        "simulate-fixed-paper", "simulate-haar", "simulate-haar-paper",
+    ],
+)
+def test_no_command_loads_fractions_or_decimal(commands, tmp_path):
+    table = str(tmp_path / "table.json")
+    argvs = [[arg.format(table=table) for arg in argv] for argv in commands]
+    result = _run(_MODULE_PROBE, json.dumps(argvs), "fractions", "decimal")
+    assert result == {"codes": [0] * len(argvs), "loaded": []}
 
 
 def test_the_cli_import_loads_the_exact_core():
